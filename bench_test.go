@@ -141,21 +141,13 @@ func BenchmarkCentrality(b *testing.B) {
 	b.ReportMetric(edges/b.Elapsed().Seconds(), "edges/s")
 }
 
-// Ablation: coarse source-level parallelism vs added fine-grained
-// within-source parallelism (DESIGN.md §5).
+// Coarse source-level parallelism, the only level the Brandes driver uses
+// (DESIGN.md §5 records why the fine-grained variant is gone).
 func BenchmarkAblationParallelismCoarse(b *testing.B) {
 	g := gen.RMAT(gen.PaperRMAT(12, 1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bc.Centrality(g, bc.Options{Samples: 64, Seed: 1})
-	}
-}
-
-func BenchmarkAblationParallelismFine(b *testing.B) {
-	g := gen.RMAT(gen.PaperRMAT(12, 1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bc.Centrality(g, bc.Options{Samples: 64, Seed: 1, FineGrained: true})
 	}
 }
 

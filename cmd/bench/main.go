@@ -9,30 +9,27 @@
 // one layout optimization on top of the previous, so the report isolates
 // what every step buys:
 //
-//	baseline                 generator vertex order, raw CSR, heap scratch
-//	reorder                  relabeled for locality (-reorder), raw CSR
-//	reorder+compact          + delta-varint compressed adjacency (forced)
-//	reorder+compact+arena    + arena-backed Brandes scratch
-//	reorder+arena (default)  what -reorder degree -compact auto serves:
-//	                         the auto policy only compacts when the raw
-//	                         adjacency exceeds the memory budget, so at
-//	                         bench scales the default stack is relabeled
-//	                         raw CSR with arena scratch
+//	baseline           generator vertex order, raw CSR
+//	reorder (default)  relabeled for locality (-reorder), raw CSR: what
+//	                   -reorder degree -compact auto serves, since the
+//	                   auto policy only compacts when the raw adjacency
+//	                   exceeds the memory budget
+//	reorder+compact    + delta-varint compressed adjacency (forced)
 //
-// The forced-compact rows quantify the capacity trade (adjacency bytes
+// The forced-compact row quantifies the capacity trade (adjacency bytes
 // roughly halve; throughput pays the per-edge varint decode), and the
 // aggregate speedup the report headlines is the shipped default against
-// the baseline. All rows run the PR-4 kernel defaults (striped
+// the baseline. All rows run the kernel defaults (deterministic striped
 // accumulation, hybrid direction-optimizing sweeps); the ablation varies
 // memory layout only. edges/sec counts NumArcs() once per source per
 // iteration — the same convention as BenchmarkCentrality in
 // bench_test.go, so the two report comparable throughput.
 //
-// -guard FILE runs only the full configuration and exits nonzero when
-// its BC throughput falls below 80% of the committed report's, which is
-// the CI bench-smoke job (scaled guard: CI benches a smaller scale than
-// the committed scale-16 report, and smaller working sets only run
-// faster, so the one-sided 0.8× bound stays meaningful).
+// -guard FILE runs only the default configuration and exits nonzero when
+// its BC throughput falls below 80% of the committed report's default
+// row, which is the CI bench-smoke job (scaled guard: CI benches a
+// smaller scale than the committed scale-16 report, and smaller working
+// sets only run faster, so the one-sided 0.8× bound stays meaningful).
 //
 // -approx switches to the adaptive approximate-BC ablation (BENCH_PR10):
 // one measured full exact run and one adaptive (ε,δ) run on the default
@@ -206,25 +203,20 @@ func main() {
 	}
 
 	steps := []struct {
-		layout  string
-		g       *graph.Graph
-		scratch bc.Scratch
+		layout string
+		g      *graph.Graph
 	}{
-		{"baseline", raw, bc.ScratchHeap},
-		{"reorder", reordered, bc.ScratchHeap},
+		{"baseline", raw},
+		{defaultLayout, reordered},
 		// Forced compression quantifies the capacity trade: adjacency bytes
 		// roughly halve, throughput pays the per-edge decode. The auto
 		// policy takes this trade only when the raw adjacency exceeds the
-		// memory budget, which is why the shipped default below stays raw
-		// at bench scales.
-		{"reorder+compact", compact, bc.ScratchHeap},
-		{"reorder+compact+arena", compact, bc.ScratchAuto},
-		// What -reorder degree -compact auto actually serves at this
-		// working-set size: relabeled raw CSR with arena scratch.
-		{"reorder+arena (default)", reordered, bc.ScratchAuto},
+		// memory budget, which is why the shipped default stays raw at
+		// bench scales.
+		{"reorder+compact", compact},
 	}
 	if *guard != "" {
-		steps = steps[len(steps)-1:] // full configuration only
+		steps = steps[1:2] // default configuration only
 	} else if *only != "" {
 		kept := steps[:0]
 		for _, st := range steps {
@@ -238,37 +230,29 @@ func main() {
 		}
 		steps = kept
 	}
+	opt := bc.Options{Samples: *samples, Seed: *seed}
 	for _, st := range steps {
-		g, scratch := st.g, st.scratch
-		opt := bc.Options{Samples: *samples, Seed: *seed, Scratch: scratch}
+		g := st.g
 		rep.Results = append(rep.Results, run("centrality", st.layout, g, arcs, int64(*samples), func() {
 			bc.Centrality(g, opt)
 		}))
 	}
 	if *guard != "" {
-		runGuard(*guard, rep.Results[len(rep.Results)-1])
+		runGuard(*guard, rep.Results[0])
 		return
 	}
 	if *only != "" {
 		return // per-run lines already printed; no report for partial matrices
 	}
-	rep.AggregateSpeedup = rep.Results[len(rep.Results)-1].EdgesPerSec / rep.Results[0].EdgesPerSec
+	rep.AggregateSpeedup = rep.Results[1].EdgesPerSec / rep.Results[0].EdgesPerSec
 	if *k > 0 {
-		// k-betweenness is where scratch churn dominated pre-arena; bench
-		// it at both ablation endpoints so the GC-pressure claim is
-		// auditable.
-		for _, st := range []struct {
-			layout  string
-			g       *graph.Graph
-			scratch bc.Scratch
-		}{
-			{"baseline", raw, bc.ScratchHeap},
-			{"reorder+arena (default)", reordered, bc.ScratchAuto},
-		} {
+		// k-betweenness at both layout endpoints, so the relabeling gain
+		// is auditable for the k > 0 kernel too.
+		kopt := bc.Options{K: *k, Samples: *samples, Seed: *seed}
+		for _, st := range steps[:2] {
 			g := st.g
-			opt := bc.Options{K: *k, Samples: *samples, Seed: *seed, Scratch: st.scratch}
 			rep.Results = append(rep.Results, run(fmt.Sprintf("kcentrality/k=%d", *k), st.layout, g, arcs, int64(*samples), func() {
-				bc.Centrality(g, opt)
+				bc.Centrality(g, kopt)
 			}))
 		}
 	}
@@ -326,8 +310,12 @@ func printTable(w *os.File, rep *report) {
 	}
 }
 
-// runGuard compares the just-measured full-configuration BC throughput
+// runGuard compares the just-measured default-configuration BC throughput
 // against the committed report and exits nonzero on a >20% regression.
+// The committed BENCH_PR7.json predates the removal of arena scratch; its
+// "reorder+arena (default)" row is that report's shipped default, so it
+// stays the reference (arena and heap scratch measured within 0.02% of
+// each other in that same report).
 func runGuard(path string, measured result) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -346,7 +334,7 @@ func runGuard(path string, measured result) {
 		}
 	}
 	if want <= 0 {
-		fmt.Fprintf(os.Stderr, "bench: -guard: no full-configuration centrality row in %s\n", path)
+		fmt.Fprintf(os.Stderr, "bench: -guard: no default-configuration centrality row in %s\n", path)
 		os.Exit(1)
 	}
 	floor := 0.8 * want
@@ -388,6 +376,9 @@ func run(kernel, layout string, g *graph.Graph, arcs, sources int64, fn func()) 
 	}
 }
 
+// defaultLayout labels rows measured on the shipped default layout.
+const defaultLayout = "reorder (default)"
+
 // benchReps is the -reps flag: repetitions per row, fastest reported.
 var benchReps = 1
 
@@ -405,11 +396,11 @@ var benchReps = 1
 func runApprox(rep *report, g *graph.Graph, arcs int64, eps, delta float64, seed int64, outPath, guardPath string) {
 	n := g.NumVertices()
 	exactWork := float64(arcs) * float64(n)
-	layout := "reorder+arena (default)"
+	layout := defaultLayout
 
 	fmt.Fprintf(os.Stderr, "%-36s %-22s ", "centrality/exact", layout)
 	t0 := time.Now()
-	bc.Centrality(g, bc.Options{Seed: seed, Scratch: bc.ScratchAuto})
+	bc.Centrality(g, bc.Options{Seed: seed})
 	exactNs := time.Since(t0).Nanoseconds()
 	exactEPS := exactWork / (float64(exactNs) * 1e-9)
 	fmt.Fprintf(os.Stderr, "%14d ns/op %14.0f edges/s\n", exactNs, exactEPS)

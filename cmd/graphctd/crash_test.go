@@ -206,9 +206,12 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
-func startDaemon(t *testing.T, bin string, args []string) *exec.Cmd {
+// startDaemon starts bin with args; env entries ("KEY=value") are added
+// to the inherited environment.
+func startDaemon(t *testing.T, bin string, args []string, env ...string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
+	cmd.Env = append(os.Environ(), env...)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {

@@ -1,115 +1,118 @@
 package bc
 
-import "graphct/internal/par"
+import (
+	"context"
+	"sync"
+	"sync/atomic"
 
-// Accumulation selects how per-source dependency contributions are merged
-// into the shared score array.
-type Accumulation int
-
-const (
-	// AccumAuto picks AccumStriped when the stripe arrays fit the memory
-	// budget (Options.StripeBudget) and AccumAtomic otherwise, so small
-	// and medium graphs get contention-free accumulation while huge
-	// graphs keep the O(n) extra-space guarantee.
-	AccumAuto Accumulation = iota
-	// AccumStriped gives every in-flight source computation a private
-	// []float64 score stripe and merges the stripes once at the end with
-	// a parallel tree reduction. No synchronization on the hot path; the
-	// cost is one stripe of n float64 per concurrency slot.
-	AccumStriped
-	// AccumAtomic accumulates into one shared array with an atomic
-	// float64 CAS loop per update — the XMT idiom the port started with.
-	// O(n) extra space regardless of concurrency, but scale-free hubs
-	// turn a handful of cache lines white-hot under contention.
-	AccumAtomic
+	"graphct/internal/par"
 )
 
-// DefaultStripeBudget is the stripe memory AccumAuto allows before falling
-// back to atomic accumulation: slots × n × 8 bytes must fit. 256 MiB
-// covers ~4M vertices at 8 concurrency slots.
-const DefaultStripeBudget int64 = 256 << 20
+// maxStripes caps the number of source chunks, and so of score stripes,
+// one centrality run splits its sources into. Sixteen chunks keep two to
+// eight workers busy to within one chunk of the tail; more would only add
+// stripe memory and merge passes.
+const maxStripes = 16
 
-// accumulator owns the score state for one Centrality run. Exactly one of
-// stripes/shared is non-nil.
-type accumulator struct {
-	n       int
-	scale   float64
-	stripes [][]float64 // striped: one private array per concurrency slot
-	free    chan int    // striped: free-list of stripe indices
-	shared  []uint64    // atomic: float64 bits, CAS-accumulated
+// stripeBudget is the memory the score stripes may take: S × n × 8 bytes
+// must fit. 256 MiB keeps all 16 stripes up to ~2M vertices; past that the
+// chunk count shrinks, down to one chunk past ~33M vertices.
+const stripeBudget = 256 << 20
+
+// stripeCount returns S, the number of contiguous source chunks and score
+// stripes: min(maxStripes, sources, stripeBudget/(8n)), at least 1. It
+// depends on n and the source count only — never on the worker count — so
+// the partition, and with it every floating-point sum, is the same on any
+// machine.
+func stripeCount(n, sources int) int {
+	s := maxStripes
+	if sources < s {
+		s = sources
+	}
+	if n > 0 && stripeBudget/(8*n) < s {
+		s = stripeBudget / (8 * n)
+	}
+	if s < 1 {
+		s = 1
+	}
+	return s
 }
 
-// newAccumulator sizes score storage for n vertices and at most slots
-// concurrent sources, resolving AccumAuto against the budget.
-func newAccumulator(n, slots int, mode Accumulation, budget int64, scale float64) *accumulator {
-	if budget <= 0 {
-		budget = DefaultStripeBudget
-	}
-	if mode == AccumAuto {
-		if int64(slots)*int64(n)*8 <= budget {
-			mode = AccumStriped
-		} else {
-			mode = AccumAtomic
-		}
-	}
-	a := &accumulator{n: n, scale: scale}
-	if mode == AccumStriped {
-		a.stripes = make([][]float64, slots)
-		a.free = make(chan int, slots)
-		for i := range a.stripes {
-			a.stripes[i] = make([]float64, n)
-			a.free <- i
-		}
-	} else {
-		a.shared = make([]uint64, n)
-	}
-	return a
-}
-
-// striped reports which path the accumulator resolved to (tests and the
-// benchmark harness record it).
-func (a *accumulator) striped() bool { return a.stripes != nil }
-
-// acquire hands a source computation its score sink; release must be
-// called when the source finishes so the stripe returns to the free list.
-// In atomic mode every source shares the CAS-accumulated array and release
-// is a no-op.
-func (a *accumulator) acquire() (sink scoreSink, release func()) {
-	if a.stripes == nil {
-		return scoreSink{shared: a.shared, scale: a.scale}, func() {}
-	}
-	i := <-a.free
-	return scoreSink{local: a.stripes[i], scale: a.scale}, func() { a.free <- i }
-}
-
-// merge produces the final score array: a parallel tree reduction over the
-// stripes, or an atomic drain of the shared array. The accumulator must
-// not be used afterwards (the fold consumes the stripes).
-func (a *accumulator) merge() []float64 {
-	out := make([]float64, a.n)
-	if a.stripes != nil {
-		par.SumSlices(out, a.stripes)
-		return out
-	}
-	par.For(a.n, func(v int) { out[v] = par.LoadFloat64(&a.shared[v]) })
-	return out
-}
-
-// scoreSink is the accumulation target a single source computation writes
-// its scaled dependency contributions into. Striped sinks are exclusive to
-// one in-flight source, so plain adds suffice even when the source's own
-// sweeps run fine-grained parallel loops (each vertex's entry is written
-// by exactly one iteration). Atomic sinks go through the float64 CAS loop.
+// scoreSink is the stripe one source computation adds its dependency
+// contributions into, scaled by n/|sources| for sampled runs. A stripe
+// belongs to one chunk and a chunk runs on one worker, so plain adds
+// suffice.
 type scoreSink struct {
-	local  []float64
-	shared []uint64
-	scale  float64
+	local []float64
+	scale float64
 }
 
 func (sk scoreSink) add(v int32, x float64) {
-	if sk.local != nil {
-		sk.local[v] += sk.scale * x
-		return
+	sk.local[v] += sk.scale * x
+}
+
+// sourceFunc runs one source's sweeps into sink.
+type sourceFunc func(s int32, sink scoreSink)
+
+// accumulate is the source-parallel driver behind every Brandes kernel.
+// It splits sources into stripeCount contiguous chunks; chunk i owns
+// stripe i, and whichever worker claims it runs the chunk's sources in
+// source order. The stripes are then folded by par.SumSlices, whose
+// pairwise tree is fixed for a given S. Every score is therefore the same
+// sequence of float64 additions whatever GOMAXPROCS or concurrency is —
+// the determinism contract in the package comment.
+//
+// At most concurrency workers (<= 0 means par.Workers()) run at once,
+// each calling newWorker once for the workspace it reuses across all the
+// sources it runs, so working memory stays O(workers·(m+n)) plus S·n
+// stripe floats. Workers check ctx between sources; a cancelled context
+// returns ctx.Err() and no scores.
+func accumulate(ctx context.Context, n int, sources []int32, concurrency int, newWorker func() sourceFunc) ([]float64, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	par.AddFloat64(&sk.shared[v], sk.scale*x)
+	scale := 1.0
+	if len(sources) > 0 && len(sources) < n {
+		scale = float64(n) / float64(len(sources))
+	}
+	chunks := stripeCount(n, len(sources))
+	stripes := make([][]float64, chunks)
+	workers := concurrency
+	if workers <= 0 {
+		workers = par.Workers()
+	}
+	if workers > chunks {
+		workers = chunks
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			run := newWorker()
+			for {
+				c := int(next.Add(1)) - 1
+				if c >= chunks || ctx.Err() != nil {
+					return
+				}
+				stripe := make([]float64, n)
+				stripes[c] = stripe
+				sink := scoreSink{local: stripe, scale: scale}
+				for _, s := range sources[c*len(sources)/chunks : (c+1)*len(sources)/chunks] {
+					if ctx.Err() != nil {
+						return
+					}
+					run(s, sink)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	out := make([]float64, n)
+	par.SumSlices(out, stripes)
+	return out, nil
 }

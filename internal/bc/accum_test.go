@@ -1,57 +1,114 @@
 package bc
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"graphct/internal/gen"
 	"graphct/internal/graph"
 )
 
-// relEq applies the satellite tolerance: striped and atomic accumulation
-// may round differently (per-stripe partial sums vs one CAS stream), but
-// scores must agree within 1e-9 relative error.
-func relEq(a, b float64) bool {
-	return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b))
+// determinismCase is one kernel configuration whose scores must not
+// depend on the machine: run returns the scores for the current
+// GOMAXPROCS and the given Options.Concurrency.
+type determinismCase struct {
+	name string
+	run  func(concurrency int) []float64
 }
 
-func requireScoresClose(t *testing.T, name string, a, b []float64) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%s: score lengths differ: %d vs %d", name, len(a), len(b))
+// determinismCases covers every kernel the driver serves — Centrality at
+// k = 0, 1, 2 (exact and sampled), DirectedCentrality and
+// WeightedCentrality — on one R-MAT and one Erdős–Rényi input each.
+func determinismCases(t *testing.T) []determinismCase {
+	families := []struct {
+		name  string
+		n     int
+		edges []graph.Edge
+	}{
+		{"rmat", 1 << 8, gen.RMATEdges(gen.PaperRMAT(8, 5))},
+		{"erdos-renyi", 300, erdosRenyiEdges(300, 1200, 3)},
 	}
-	for v := range a {
-		if !relEq(a[v], b[v]) {
-			t.Fatalf("%s: v=%d striped %v atomic %v", name, v, a[v], b[v])
+	var cases []determinismCase
+	for _, f := range families {
+		und, err := graph.FromEdges(f.n, f.edges, graph.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir, err := graph.FromEdges(f.n, f.edges, graph.Options{Directed: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(11))
+		wes := make([]graph.WeightedEdge, len(f.edges))
+		for i, e := range f.edges {
+			wes[i] = graph.WeightedEdge{U: e.U, V: e.V, W: 1 + rng.Int31n(4)}
+		}
+		wtd, err := graph.FromWeightedEdges(f.n, wes, graph.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, samples := range []int{0, 37} {
+			mode := "exact"
+			if samples > 0 {
+				mode = "sampled"
+			}
+			for k := 0; k <= MaxK; k++ {
+				opt := Options{K: k, Samples: samples, Seed: 9}
+				cases = append(cases, determinismCase{fmt.Sprintf("%s/k%d-%s", f.name, k, mode), func(c int) []float64 {
+					o := opt
+					o.Concurrency = c
+					return Centrality(und, o).Scores
+				}})
+			}
+			cases = append(cases, determinismCase{fmt.Sprintf("%s/directed-%s", f.name, mode), func(c int) []float64 {
+				return DirectedCentrality(dir, DirectedOptions{Samples: samples, Seed: 9, Concurrency: c}).Scores
+			}})
+			cases = append(cases, determinismCase{fmt.Sprintf("%s/weighted-%s", f.name, mode), func(c int) []float64 {
+				r, err := WeightedCentrality(wtd, Options{Samples: samples, Seed: 9, Concurrency: c})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r.Scores
+			}})
 		}
 	}
+	return cases
 }
 
-// TestAccumulationEquivalence pins the tentpole's correctness claim: the
-// striped and atomic accumulation paths compute the same scores (within
-// 1e-9 relative tolerance) on random and R-MAT graphs, exact and sampled,
-// k = 0 and k > 0, coarse and fine-grained.
-func TestAccumulationEquivalence(t *testing.T) {
-	cases := []struct {
-		name string
-		g    *graph.Graph
-		opt  Options
-	}{
-		{"erdos-renyi/exact", gen.ErdosRenyi(200, 600, 1), Options{}},
-		{"erdos-renyi/sampled", gen.ErdosRenyi(300, 900, 2), Options{Samples: 40, Seed: 7}},
-		{"rmat/exact", gen.RMAT(gen.PaperRMAT(7, 3)), Options{}},
-		{"rmat/sampled", gen.RMAT(gen.PaperRMAT(8, 4)), Options{Samples: 64, Seed: 11}},
-		{"rmat/k1", gen.RMAT(gen.PaperRMAT(6, 5)), Options{K: 1, Samples: 32, Seed: 3}},
-		{"erdos-renyi/k2", gen.ErdosRenyi(80, 240, 6), Options{K: 2, Samples: 20, Seed: 5}},
-		{"rmat/fine", gen.RMAT(gen.PaperRMAT(7, 8)), Options{Samples: 32, Seed: 9, FineGrained: true}},
+func erdosRenyiEdges(n, m int, seed int64) []graph.Edge {
+	rng := rand.New(rand.NewSource(seed))
+	edges := make([]graph.Edge, m)
+	for i := range edges {
+		edges[i] = graph.Edge{U: int32(rng.Intn(n)), V: int32(rng.Intn(n))}
 	}
-	for _, tc := range cases {
+	return edges
+}
+
+// TestKernelDeterminism pins the determinism contract: every kernel's
+// scores are bit-identical across GOMAXPROCS 1/2/4 × Concurrency 1/3/8,
+// because the driver's chunk → stripe partition and stripe fold depend
+// only on the graph and the source list.
+func TestKernelDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range determinismCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			st := tc.opt
-			st.Accumulation = AccumStriped
-			at := tc.opt
-			at.Accumulation = AccumAtomic
-			requireScoresClose(t, tc.name, Centrality(tc.g, st).Scores, Centrality(tc.g, at).Scores)
+			runtime.GOMAXPROCS(1)
+			want := tc.run(1)
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				for _, c := range []int{1, 3, 8} {
+					got := tc.run(c)
+					for v := range want {
+						if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+							t.Fatalf("GOMAXPROCS=%d Concurrency=%d: v=%d score %v, want %v (GOMAXPROCS=1 Concurrency=1)",
+								procs, c, v, got[v], want[v])
+						}
+					}
+				}
+			}
 		})
 	}
 }
@@ -83,9 +140,9 @@ func TestHybridSweepMatchesReference(t *testing.T) {
 func TestHybridSweepTakesBottomUpLevels(t *testing.T) {
 	g := gen.ErdosRenyi(400, 2400, 1)
 	n := g.NumVertices()
-	ws := newWorkspace(n, 0, 0, ScratchAuto)
+	ws := newWorkspace(n, 0, 0)
 	sink := scoreSink{local: make([]float64, n), scale: 1}
-	brandesSource(g, 0, ws, sink, false, SweepAuto)
+	brandesSource(g, 0, ws, sink, SweepAuto)
 	// brandesSource resets the workspace, but the bottom-up level counter
 	// survives reset.
 	if ws.bottomUps == 0 {
@@ -93,31 +150,21 @@ func TestHybridSweepTakesBottomUpLevels(t *testing.T) {
 	}
 }
 
-// TestAccumulatorAutoSelection pins the memory-budget policy: striped
-// while slots × n × 8 fits the budget, atomic beyond it, explicit modes
-// always honored.
+// TestAccumulatorAutoSelection pins the stripe policy: S = min(16,
+// sources, budget/8n) with a floor of 1, a function of n and the source
+// count only.
 func TestAccumulatorAutoSelection(t *testing.T) {
-	const n, slots = 1 << 10, 4
-	fits := int64(slots * n * 8)
-	if a := newAccumulator(n, slots, AccumAuto, fits, 1); !a.striped() {
-		t.Fatal("auto under budget: want striped")
+	for _, tc := range []struct{ n, sources, want int }{
+		{1000, 1000, maxStripes},
+		{1000, 5, 5},
+		{1000, 0, 1},
+		{0, 0, 1},
+		{stripeBudget / (8 * 4), 1000, 4}, // budget fits 4 stripes
+		{stripeBudget/(8*4) + 1, 1000, 3}, // one vertex more: 3
+		{stripeBudget, 1000, 1},           // past the budget: floor
+	} {
+		if got := stripeCount(tc.n, tc.sources); got != tc.want {
+			t.Errorf("stripeCount(%d, %d) = %d, want %d", tc.n, tc.sources, got, tc.want)
+		}
 	}
-	if a := newAccumulator(n, slots, AccumAuto, fits-1, 1); a.striped() {
-		t.Fatal("auto over budget: want atomic")
-	}
-	if a := newAccumulator(n, slots, AccumStriped, 1, 1); !a.striped() {
-		t.Fatal("explicit striped ignored budget? want striped")
-	}
-	if a := newAccumulator(n, slots, AccumAtomic, 1<<40, 1); a.striped() {
-		t.Fatal("explicit atomic: want atomic")
-	}
-}
-
-// TestStripeBudgetFallsBackToAtomic runs the full kernel with a budget too
-// small for stripes and checks the result still matches the striped run.
-func TestStripeBudgetFallsBackToAtomic(t *testing.T) {
-	g := gen.ErdosRenyi(150, 450, 9)
-	tight := Centrality(g, Options{StripeBudget: 8}).Scores
-	roomy := Centrality(g, Options{Accumulation: AccumStriped}).Scores
-	requireScoresClose(t, "budget-fallback", tight, roomy)
 }

@@ -4,31 +4,28 @@
 // which also counts paths up to k longer than the shortest so scores are
 // robust to small graph perturbations.
 //
-// Parallelism follows the paper: the coarse level runs many source
-// computations concurrently (bounded so working memory stays O(S·(m+n))),
-// and each source's sweeps expose fine-grained parallelism.
-//
-// Accumulation into the score array departs from the XMT idiom on purpose.
-// The paper's hardware hides the latency of hammering one shared array
-// with atomic updates; on cache-coherent commodity machines the same
-// pattern turns the high-centrality hubs of a scale-free graph into
-// white-hot contended cache lines. By default each in-flight source
-// therefore accumulates into a private stripe and the stripes are merged
-// once by a parallel tree reduction; the atomic-CAS path survives behind
-// Options.Accumulation for graphs too large to afford the stripes. The
-// Brandes forward sweeps are likewise direction-optimized (Beamer
-// top-down/bottom-up, shared with internal/bfs) so hub-dominated levels
-// stop scanning the whole edge list.
+// Parallelism follows the paper's coarse level: many source computations
+// run at once, bounded so working memory stays O(S·(m+n)). Accumulation
+// departs from the XMT idiom on purpose. The paper's hardware hides the
+// latency of many sources fetch-and-adding into one shared score array; on
+// cache-coherent commodity cores the same pattern turns the hubs of a
+// scale-free graph into contended cache lines, and because float addition
+// is not associative it makes the scores depend on scheduling. Instead,
+// one driver (accumulate) splits the sources into a fixed number of
+// contiguous chunks, each summing into its own score stripe in source
+// order, and folds the stripes in a fixed tree. The determinism contract:
+// scores are a pure function of (graph, sources, k) — bit-identical
+// whatever GOMAXPROCS or Options.Concurrency is. The Brandes forward
+// sweeps are direction-optimized (Beamer top-down/bottom-up, shared with
+// internal/bfs) so hub-dominated levels stop scanning the whole edge list.
 package bc
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"graphct/internal/graph"
-	"graphct/internal/par"
 )
 
 // MaxK is the largest supported k for k-betweenness centrality. Beyond
@@ -48,37 +45,20 @@ type Options struct {
 	// Seed drives source sampling.
 	Seed int64
 	// Concurrency bounds how many sources run at once; <= 0 means the
-	// worker count. Memory grows linearly with this bound.
+	// worker count. Memory grows linearly with this bound; scores do not
+	// depend on it.
 	Concurrency int
-	// FineGrained runs each source's sweeps with parallel loops as well.
-	// Off by default: with many sources in flight, coarse parallelism
-	// already saturates the machine (the ablation benchmarks compare).
-	FineGrained bool
 	// Strategy selects how sampled sources are drawn; the zero value is
 	// the paper's uniform ("unguided") sampling.
 	Strategy Sampling
-	// Accumulation selects how per-source contributions merge into the
-	// score array. The zero value AccumAuto uses striped (contention-free)
-	// accumulation when the stripes fit StripeBudget and the atomic-CAS
-	// shared array otherwise.
-	Accumulation Accumulation
-	// StripeBudget caps the extra memory AccumAuto may spend on score
-	// stripes, in bytes (slots × n × 8 must fit); 0 means
-	// DefaultStripeBudget. Ignored when Accumulation is explicit.
-	StripeBudget int64
 	// Sweep selects the Brandes forward-sweep traversal. The zero value
 	// SweepAuto direction-optimizes; SweepTopDown forces the classic
 	// push-only reference sweep. Scores are bit-identical either way.
 	Sweep Sweep
-	// Scratch selects how per-source workspaces allocate. The zero value
-	// ScratchAuto carves each workspace from one bump-allocator arena;
-	// ScratchHeap keeps the individual heap allocations (the pre-arena
-	// behavior, retained for the ablation benchmarks).
-	Scratch Scratch
 	// Adaptive switches ApproxCentralityCtx to the adaptive pair-sampling
 	// estimator with an (ε,δ) absolute-error guarantee (see adaptive.go).
 	// Off, it falls back bit-identically to the fixed-k sampling above.
-	// Requires K == 0; Samples/Strategy/Sweep/Accumulation are ignored.
+	// Requires K == 0; Samples/Strategy/Sweep are ignored.
 	Adaptive bool
 	// Epsilon is the adaptive estimator's absolute-error bound on scores
 	// normalized to [0,1] (score / n(n-1)); 0 means DefaultEpsilon.
@@ -92,17 +72,6 @@ type Options struct {
 	// cannot belong to the top-k set. 0 covers all vertices.
 	AdaptiveTopK int
 }
-
-// Scratch selects the workspace allocation strategy.
-type Scratch int
-
-const (
-	// ScratchAuto backs each pooled workspace with an internal/arena bump
-	// allocator: one GC-opaque allocation per concurrency slot.
-	ScratchAuto Scratch = iota
-	// ScratchHeap allocates each scratch array individually on the heap.
-	ScratchHeap
-)
 
 // Sweep selects the traversal strategy of the Brandes forward sweeps.
 type Sweep int
@@ -162,24 +131,6 @@ func CentralityCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, e
 	}
 	n := g.NumVertices()
 	sources := sampleWithStrategy(g, opt.Samples, opt.Seed, opt.Strategy)
-	scale := 1.0
-	if len(sources) > 0 && len(sources) < n {
-		scale = float64(n) / float64(len(sources))
-	}
-	limit := opt.Concurrency
-	if limit <= 0 {
-		limit = par.Workers()
-	}
-	// One stripe per concurrency slot suffices; fewer sources than slots
-	// means fewer stripes to allocate and merge.
-	slots := limit
-	if len(sources) < slots {
-		slots = len(sources)
-	}
-	if slots < 1 {
-		slots = 1
-	}
-	acc := newAccumulator(n, slots, opt.Accumulation, opt.StripeBudget, scale)
 	// Compact graphs decode neighbor rows into a workspace buffer sized to
 	// the maximum degree, so the hot sweeps never allocate; raw graphs
 	// alias CSR storage and need no buffer.
@@ -187,39 +138,17 @@ func CentralityCtx(ctx context.Context, g *graph.Graph, opt Options) (*Result, e
 	if g.Compacted() {
 		nbufCap = g.MaxDegree()
 	}
-	grp := par.NewGroup(limit)
-	var pool sync.Pool
-	for _, s := range sources {
-		if ctx.Err() != nil {
-			break // stop scheduling; in-flight sources finish
+	scores, err := accumulate(ctx, n, sources, opt.Concurrency, func() sourceFunc {
+		ws := newWorkspace(n, opt.K, nbufCap)
+		if opt.K == 0 {
+			return func(s int32, sink scoreSink) { brandesSource(g, s, ws, sink, opt.Sweep) }
 		}
-		s := s
-		grp.Go(func() error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			sink, release := acc.acquire()
-			defer release()
-			ws, _ := pool.Get().(*workspace)
-			if ws == nil || ws.n != n || ws.k != opt.K {
-				ws = newWorkspace(n, opt.K, nbufCap, opt.Scratch)
-			}
-			if opt.K == 0 {
-				brandesSource(g, s, ws, sink, opt.FineGrained, opt.Sweep)
-			} else {
-				kbcSource(g, s, ws, sink)
-			}
-			pool.Put(ws)
-			return nil
-		})
-	}
-	if err := grp.Wait(); err != nil {
+		return func(s int32, sink scoreSink) { kbcSource(g, s, ws, sink) }
+	})
+	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return &Result{Scores: acc.merge(), Sources: sources, K: opt.K}, nil
+	return &Result{Scores: scores, Sources: sources, K: opt.K}, nil
 }
 
 // sampleSources returns the source set: all vertices when samples is out of

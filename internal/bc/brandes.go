@@ -1,23 +1,15 @@
 package bc
 
 import (
-	"sync/atomic"
-
-	"graphct/internal/arena"
 	"graphct/internal/bfs"
 	"graphct/internal/graph"
-	"graphct/internal/par"
 )
 
-// workspace holds the per-source O(m+n) arrays. Workspaces are pooled so
-// concurrent sources bound total memory at O(S·(m+n)) for S in-flight
-// sources, matching the paper's memory model. Arrays are kept clean between
-// runs by resetting only the vertices the previous search touched.
-//
-// By default the arrays are carved from one workspace arena: a single
-// GC-opaque allocation instead of seven heap objects per slot, laid out in
-// sweep-touch order. Options.Scratch == ScratchHeap keeps the pre-arena
-// individual allocations for the ablation benchmarks.
+// workspace holds the per-source O(m+n) arrays. Each driver worker owns
+// one and reuses it for every source it runs, so concurrent sources bound
+// total memory at O(S·(m+n)) for S in-flight sources, matching the paper's
+// memory model. Arrays are kept clean between runs by resetting only the
+// vertices the previous search touched.
 //
 // The per-vertex state stays in separate dense arrays rather than an
 // interleaved struct-of-one-record layout: the whole per-source state
@@ -33,32 +25,19 @@ type workspace struct {
 	order      []int32   // visitation order of the last search
 	levelStart []int     // offsets into order where each BFS level begins
 	nbuf       []int32   // neighbor decode buffer for compact graphs
-	ar         *arena.Arena
-	bottomUps  int // levels discovered pull-style; survives reset (test sentinel)
+	bottomUps  int       // levels discovered pull-style; survives reset (test sentinel)
 }
 
-func newWorkspace(n, k, nbufCap int, scratch Scratch) *workspace {
-	ws := &workspace{n: n, k: k}
-	if scratch == ScratchHeap {
-		ws.dist = make([]int32, n)
-		ws.sigma = make([]float64, n*(k+1))
-		ws.delta = make([]float64, n*(k+1))
-		ws.sigTot = make([]float64, n)
-		ws.order = make([]int32, 0, n)
-		ws.nbuf = make([]int32, 0, nbufCap)
-	} else {
-		bytes := arena.Bytes[int32](n) + // dist
-			2*arena.Bytes[float64](n*(k+1)) + // sigma, delta
-			arena.Bytes[float64](n) + // sigTot
-			arena.Bytes[int32](n) + // order
-			arena.Bytes[int32](nbufCap)
-		ws.ar = arena.New(bytes)
-		ws.dist = arena.Make[int32](ws.ar, n)
-		ws.sigma = arena.Make[float64](ws.ar, n*(k+1))
-		ws.delta = arena.Make[float64](ws.ar, n*(k+1))
-		ws.sigTot = arena.Make[float64](ws.ar, n)
-		ws.order = arena.Make[int32](ws.ar, n)[:0]
-		ws.nbuf = arena.Make[int32](ws.ar, nbufCap)[:0]
+func newWorkspace(n, k, nbufCap int) *workspace {
+	ws := &workspace{
+		n:      n,
+		k:      k,
+		dist:   make([]int32, n),
+		sigma:  make([]float64, n*(k+1)),
+		delta:  make([]float64, n*(k+1)),
+		sigTot: make([]float64, n),
+		order:  make([]int32, 0, n),
+		nbuf:   make([]int32, 0, nbufCap),
 	}
 	for i := range ws.dist {
 		ws.dist[i] = -1
@@ -100,12 +79,8 @@ func (ws *workspace) reset() {
 // forward strategy discovered each level — the property the equivalence
 // tests pin down. (Path counts are integer-valued, so forward summation
 // order cannot perturb them either.)
-func brandesSource(g *graph.Graph, s int32, ws *workspace, sink scoreSink, fine bool, sweep Sweep) {
+func brandesSource(g *graph.Graph, s int32, ws *workspace, sink scoreSink, sweep Sweep) {
 	defer ws.reset()
-	if fine {
-		brandesSourceFine(g, s, ws, sink)
-		return
-	}
 	dist, sigma := ws.dist, ws.sigma
 	dist[s] = 0
 	sigma[s] = 1
@@ -241,119 +216,4 @@ func backwardSweep(g *graph.Graph, s int32, ws *workspace, sink scoreSink) {
 			coef[v] = (1 + delta[v]) / sigma[v]
 		}
 	}
-}
-
-// brandesSourceFine is the fine-grained variant: each level's sigma and
-// delta sweeps run as guided-scheduled parallel pull loops (no atomics
-// needed because each vertex writes only its own entry — including its
-// score-sink entry, so striped accumulation stays race-free here too). It
-// exists for the parallelism ablation; coarse source-level parallelism
-// usually wins when many sources are in flight.
-func brandesSourceFine(g *graph.Graph, s int32, ws *workspace, sink scoreSink) {
-	defer ws.reset()
-	dist, sigma, delta := ws.dist, ws.sigma, ws.delta
-	dist[s] = 0
-	sigma[s] = 1
-	ws.order = append(ws.order, s)
-	ws.levelStart = append(ws.levelStart, 0)
-	frontier := ws.order[0:1]
-	for len(frontier) > 0 {
-		frontierEnd := len(ws.order)
-		// Discovery: parallel claim of next level.
-		next := discoverLevel(g, frontier, dist)
-		ws.order = append(ws.order, next...)
-		if len(next) == 0 {
-			break
-		}
-		ws.levelStart = append(ws.levelStart, frontierEnd)
-		// Sigma: pull from predecessors, parallel and race-free. Guided
-		// scheduling keeps a worker that drew a run of hubs from
-		// stranding the level's tail.
-		// NeighborIter rather than a decode buffer: the guided-parallel
-		// chunks share the workspace, so a common buffer would race.
-		par.ForGuided(len(next), 128, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := next[i]
-				dv := dist[v]
-				var sv float64
-				for it := g.NeighborIter(v); ; {
-					u, ok := it.Next()
-					if !ok {
-						break
-					}
-					if dist[u] == dv-1 {
-						sv += sigma[u]
-					}
-				}
-				sigma[v] = sv
-			}
-		})
-		frontier = ws.order[frontierEnd:]
-	}
-	// Delta: pull from successors level by level, deepest first, through
-	// the same two-pass coef[w] = (1+delta[w])/sigma[w] materialization
-	// as backwardSweep (identical arithmetic, so the two strategies stay
-	// bit-identical): the delta pass reads only deeper levels' published
-	// coefficients, then a second barrier-separated pass publishes this
-	// level's — which also keeps the parallel loops race-free.
-	coef := ws.sigTot
-	for li := len(ws.levelStart) - 1; li >= 0; li-- {
-		lo := ws.levelStart[li]
-		hi := len(ws.order)
-		if li+1 < len(ws.levelStart) {
-			hi = ws.levelStart[li+1]
-		}
-		lvl := ws.order[lo:hi]
-		par.ForGuided(len(lvl), 128, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := lvl[i]
-				var dsum float64
-				for it := g.NeighborIter(v); ; {
-					w, ok := it.Next()
-					if !ok {
-						break
-					}
-					dsum += coef[w]
-				}
-				dsum *= sigma[v]
-				delta[v] = dsum
-				if v != s {
-					sink.add(v, dsum)
-				}
-			}
-		})
-		par.ForGuided(len(lvl), 512, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := lvl[i]
-				coef[v] = (1 + delta[v]) / sigma[v]
-			}
-		})
-	}
-}
-
-func discoverLevel(g *graph.Graph, frontier []int32, dist []int32) []int32 {
-	workers := par.Workers()
-	buffers := make([][]int32, workers)
-	par.ForEachWorker(func(w, workers int) {
-		var buf []int32
-		for i := w; i < len(frontier); i += workers {
-			u := frontier[i]
-			du := dist[u]
-			for it := g.NeighborIter(u); ; {
-				v, ok := it.Next()
-				if !ok {
-					break
-				}
-				if atomic.LoadInt32(&dist[v]) == -1 && par.CASInt32(&dist[v], -1, du+1) {
-					buf = append(buf, v)
-				}
-			}
-		}
-		buffers[w] = buf
-	})
-	var next []int32
-	for _, b := range buffers {
-		next = append(next, b...)
-	}
-	return next
 }

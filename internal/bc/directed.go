@@ -1,8 +1,9 @@
 package bc
 
 import (
+	"context"
+
 	"graphct/internal/graph"
-	"graphct/internal/par"
 )
 
 // DirectedOptions configures directed-flow betweenness centrality — the
@@ -29,63 +30,42 @@ func DirectedCentrality(g *graph.Graph, opt DirectedOptions) *Result {
 	n := g.NumVertices()
 	rev := g.Reverse()
 	sources := sampleWithStrategy(g, opt.Samples, opt.Seed, opt.Strategy)
-	scores := make([]uint64, n)
-	scale := 1.0
-	if len(sources) > 0 && len(sources) < n {
-		scale = float64(n) / float64(len(sources))
-	}
-	limit := opt.Concurrency
-	if limit <= 0 {
-		limit = par.Workers()
-	}
-	grp := par.NewGroup(limit)
-	for _, s := range sources {
-		s := s
-		grp.Go(func() error {
-			directedSource(g, rev, s, scores, scale)
-			return nil
-		})
-	}
-	grp.Wait()
-	out := make([]float64, n)
-	par.For(n, func(v int) { out[v] = par.LoadFloat64(&scores[v]) })
-	return &Result{Scores: out, Sources: sources}
+	// The background context never cancels, so accumulate cannot fail.
+	scores, _ := accumulate(context.Background(), n, sources, opt.Concurrency, func() sourceFunc {
+		ws := newWorkspace(n, 0, 0)
+		return func(s int32, sink scoreSink) { directedSource(g, rev, s, ws, sink) }
+	})
+	return &Result{Scores: scores, Sources: sources}
 }
 
 // directedSource is Brandes over directed arcs: forward BFS follows
 // out-arcs; the dependency sweep finds predecessors by scanning the
 // transpose adjacency.
-func directedSource(g, rev *graph.Graph, s int32, scores []uint64, scale float64) {
-	n := g.NumVertices()
-	dist := make([]int32, n)
-	sigma := make([]float64, n)
-	delta := make([]float64, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	order := make([]int32, 0, 256)
+func directedSource(g, rev *graph.Graph, s int32, ws *workspace, sink scoreSink) {
+	defer ws.reset()
+	dist, sigma, delta := ws.dist, ws.sigma, ws.delta
 	dist[s] = 0
 	sigma[s] = 1
-	order = append(order, s)
-	frontier := order[0:1]
+	ws.order = append(ws.order, s)
+	frontier := ws.order[0:1]
 	for len(frontier) > 0 {
-		end := len(order)
+		end := len(ws.order)
 		for _, u := range frontier {
 			du, su := dist[u], sigma[u]
 			for _, v := range g.Neighbors(u) {
 				if dist[v] == -1 {
 					dist[v] = du + 1
-					order = append(order, v)
+					ws.order = append(ws.order, v)
 				}
 				if dist[v] == du+1 {
 					sigma[v] += su
 				}
 			}
 		}
-		frontier = order[end:]
+		frontier = ws.order[end:]
 	}
-	for i := len(order) - 1; i > 0; i-- {
-		w := order[i]
+	for i := len(ws.order) - 1; i > 0; i-- {
+		w := ws.order[i]
 		coef := (1 + delta[w]) / sigma[w]
 		dw := dist[w]
 		for _, v := range rev.Neighbors(w) {
@@ -93,6 +73,6 @@ func directedSource(g, rev *graph.Graph, s int32, scores []uint64, scale float64
 				delta[v] += sigma[v] * coef
 			}
 		}
-		par.AddFloat64(&scores[w], scale*delta[w])
+		sink.add(w, delta[w])
 	}
 }

@@ -2,10 +2,10 @@ package bc
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 
 	"graphct/internal/graph"
-	"graphct/internal/par"
 )
 
 // WeightedCentrality computes betweenness centrality over weighted
@@ -33,45 +33,58 @@ func WeightedCentrality(g *graph.Graph, opt Options) (*Result, error) {
 	}
 	n := g.NumVertices()
 	sources := sampleWithStrategy(g, opt.Samples, opt.Seed, opt.Strategy)
-	scores := make([]uint64, n)
-	scale := 1.0
-	if len(sources) > 0 && len(sources) < n {
-		scale = float64(n) / float64(len(sources))
+	// The background context never cancels, so accumulate cannot fail.
+	scores, _ := accumulate(context.Background(), n, sources, opt.Concurrency, func() sourceFunc {
+		ws := newWeightedWorkspace(n)
+		return func(s int32, sink scoreSink) { weightedSource(g, s, ws, sink) }
+	})
+	return &Result{Scores: scores, Sources: sources}, nil
+}
+
+// weightedWorkspace is the Dijkstra counterpart of workspace: reused
+// across one worker's sources and reset over the vertices the last search
+// settled (every vertex Dijkstra reaches is pushed, so it is settled).
+type weightedWorkspace struct {
+	dist         []int64
+	sigma, delta []float64
+	settled      []bool
+	order        []int32
+	pq           distHeap
+}
+
+func newWeightedWorkspace(n int) *weightedWorkspace {
+	ws := &weightedWorkspace{
+		dist:    make([]int64, n),
+		sigma:   make([]float64, n),
+		delta:   make([]float64, n),
+		settled: make([]bool, n),
 	}
-	limit := opt.Concurrency
-	if limit <= 0 {
-		limit = par.Workers()
+	for i := range ws.dist {
+		ws.dist[i] = -1 // -1 = unreached; weights are non-negative
 	}
-	grp := par.NewGroup(limit)
-	for _, s := range sources {
-		s := s
-		grp.Go(func() error {
-			weightedSource(g, s, scores, scale)
-			return nil
-		})
+	return ws
+}
+
+func (ws *weightedWorkspace) reset() {
+	for _, v := range ws.order {
+		ws.dist[v] = -1
+		ws.sigma[v] = 0
+		ws.delta[v] = 0
+		ws.settled[v] = false
 	}
-	grp.Wait()
-	out := make([]float64, n)
-	par.For(n, func(v int) { out[v] = par.LoadFloat64(&scores[v]) })
-	return &Result{Scores: out, Sources: sources}, nil
+	ws.order = ws.order[:0]
 }
 
 // weightedSource is Brandes with Dijkstra: dist and sigma are settled in
 // non-decreasing distance order, and the dependency sweep walks vertices
 // in decreasing distance.
-func weightedSource(g *graph.Graph, s int32, scores []uint64, scale float64) {
-	n := g.NumVertices()
-	dist := make([]int64, n)
-	sigma := make([]float64, n)
-	delta := make([]float64, n)
-	for i := range dist {
-		dist[i] = -1 // -1 = unreached; weights are non-negative
-	}
+func weightedSource(g *graph.Graph, s int32, ws *weightedWorkspace, sink scoreSink) {
+	defer ws.reset()
+	dist, sigma, delta, settled := ws.dist, ws.sigma, ws.delta, ws.settled
 	dist[s] = 0
 	sigma[s] = 1
-	settled := make([]bool, n)
-	pq := &distHeap{{v: s, d: 0}}
-	var order []int32
+	ws.pq = append(ws.pq[:0], distItem{v: s, d: 0})
+	pq := &ws.pq
 	for pq.Len() > 0 {
 		item := heap.Pop(pq).(distItem)
 		// Two live entries can carry the same final distance (pushed by
@@ -80,7 +93,7 @@ func weightedSource(g *graph.Graph, s int32, scores []uint64, scale float64) {
 			continue
 		}
 		settled[item.v] = true
-		order = append(order, item.v)
+		ws.order = append(ws.order, item.v)
 		nbr := g.Neighbors(item.v)
 		wts := g.Weights(item.v)
 		for i, u := range nbr {
@@ -99,10 +112,10 @@ func weightedSource(g *graph.Graph, s int32, scores []uint64, scale float64) {
 		}
 	}
 	// Dijkstra may pop a vertex more than once only via stale entries,
-	// filtered above, so `order` holds each reached vertex once in
+	// filtered above, so ws.order holds each reached vertex once in
 	// non-decreasing distance; accumulate dependencies in reverse.
-	for i := len(order) - 1; i > 0; i-- {
-		w := order[i]
+	for i := len(ws.order) - 1; i > 0; i-- {
+		w := ws.order[i]
 		coef := (1 + delta[w]) / sigma[w]
 		nbr := g.Neighbors(w)
 		wts := g.Weights(w)
@@ -114,7 +127,7 @@ func weightedSource(g *graph.Graph, s int32, scores []uint64, scale float64) {
 				delta[v] += sigma[v] * coef
 			}
 		}
-		par.AddFloat64(&scores[w], scale*delta[w])
+		sink.add(w, delta[w])
 	}
 }
 

@@ -89,8 +89,9 @@ func ParseCompactPolicy(s string) (CompactPolicy, error) {
 
 // DefaultCompactBudget is the CompactAuto threshold on raw adjacency bytes:
 // graphs whose neighbor ids alone outgrow this get compressed. 256 MiB
-// mirrors bc.StripeBudget — both guard the same "working set past cache
-// and heading for swap" regime on one analysis machine.
+// matches the budget internal/bc gives its score stripes — both guard the
+// same "working set past cache and heading for swap" regime on one
+// analysis machine.
 const DefaultCompactBudget = 256 << 20
 
 // Layout is a load-time memory-layout configuration.

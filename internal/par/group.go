@@ -3,9 +3,9 @@ package par
 import "sync"
 
 // Group runs tasks with bounded concurrency and collects the first error.
-// GraphCT's coarse level of parallelism — independent betweenness searches
-// from many source vertices — runs S sources through a Group whose limit
-// bounds the O(S·(m+n)) working memory, matching the paper's memory model.
+// Per-source kernels (the diameter searches in internal/stats) run their
+// sources through a Group whose limit bounds the O(S·(m+n)) working
+// memory, matching the paper's memory model.
 type Group struct {
 	sem  chan struct{}
 	wg   sync.WaitGroup

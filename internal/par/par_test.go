@@ -157,22 +157,6 @@ func TestReduceParallelWithPinnedWorkers(t *testing.T) {
 	}
 }
 
-func TestAddFloat64Concurrent(t *testing.T) {
-	var acc uint64
-	For(100000, func(i int) { AddFloat64(&acc, 0.5) })
-	if got := LoadFloat64(&acc); got != 50000 {
-		t.Fatalf("accumulated %v, want 50000", got)
-	}
-}
-
-func TestStoreLoadFloat64(t *testing.T) {
-	var acc uint64
-	StoreFloat64(&acc, 3.25)
-	if got := LoadFloat64(&acc); got != 3.25 {
-		t.Fatalf("LoadFloat64 = %v, want 3.25", got)
-	}
-}
-
 func TestMinInt32(t *testing.T) {
 	v := int32(10)
 	if !MinInt32(&v, 3) || v != 3 {
