@@ -13,7 +13,7 @@
 //	print diameter [PERCENT] | print degrees | print components
 //	save graph | save snapshot FILE | restore graph
 //	extract component N [=> comp.bin]
-//	kcentrality K SAMPLES [=> scores.txt]
+//	kcentrality K SAMPLES [eps=E [delta=D]] [=> scores.txt]
 //	kcores K
 //	clustering [=> coef.txt]
 //	stats | components | undirected | reciprocal | bfs SRC DEPTH

@@ -30,16 +30,12 @@
 //	                                   (the replication bootstrap feed)
 //	GET    /graphs/{name}/wal?from=E   log segment based at epoch E, raw
 //	                                   (the replication tail feed)
-//	GET    /graphs/{name}/components
-//	GET    /graphs/{name}/stats
-//	GET    /graphs/{name}/degrees
-//	GET    /graphs/{name}/clustering
-//	GET    /graphs/{name}/diameter
-//	GET    /graphs/{name}/kcores?k=K
-//	GET    /graphs/{name}/kcentrality?k=K&samples=S&top=N
-//	GET    /graphs/{name}/bfs?src=V&depth=D
-//	GET    /graphs/{name}/sssp?src=V
+//	GET    /graphs/{name}/{kernel}     components, stats, degrees, clustering,
+//	                                   diameter, kcores, kcentrality, bfs, sssp
 //
+// Each kernel's parameters, defaults, ranges and QoS class are defined
+// once, in internal/kernel's table (e.g. kcentrality?k=K&samples=S&top=N,
+// or ?epsilon=E&delta=D for the adaptive mode; bfs?src=V&depth=D).
 // Kernel endpoints accept ?timeout_ms=N for a per-request deadline. Live
 // graphs (created with format "live", or preloaded via
 // -graph NAME=live:VERTICES) accept batched edge updates on their ingest
@@ -56,11 +52,10 @@
 // kernel endpoints can address with ?epoch=E for point-in-time reads.
 //
 // QoS: -cheap-reserved N enables priority lanes in the kernel admission
-// pool — cheap kernels (stats, degrees, components, clustering, kcores,
-// bfs, sssp) keep N reserved slots that expensive kernels (kcentrality,
-// diameter) can never occupy, and each class queues separately, so cheap
-// reads never wait behind a centrality run; every kernel response names
-// its lane in X-Graphct-Class. -client-rate R [-client-burst B] adds
+// pool — cheap kernels keep N reserved slots that expensive kernels
+// (centrality, diameter) can never occupy, and each class queues
+// separately, so cheap reads never wait behind a centrality run; every
+// kernel response names its lane in X-Graphct-Class. -client-rate R [-client-burst B] adds
 // per-client token-bucket rate limiting keyed on the X-Graphct-Client
 // request header (429 + Retry-After when a bucket drains), and
 // -cache-max-entry bounds cost-aware cache admission so one giant result

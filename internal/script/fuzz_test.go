@@ -57,7 +57,7 @@ func FuzzScriptParse(f *testing.F) {
 		if cmd.Name == "" {
 			return // blank or comment
 		}
-		if _, known := staticChecks[cmd.Name]; !known {
+		if _, known := commands[cmd.Name]; !known {
 			t.Fatalf("parsed unknown command %q (input %q)", cmd.Name, line)
 		}
 		// The canonical rendering of a parsed command must re-parse to the

@@ -1,10 +1,12 @@
 package script
 
 import (
+	"net/url"
 	"strconv"
 	"strings"
 
-	"graphct/internal/bc"
+	"graphct/internal/graph"
+	"graphct/internal/kernel"
 )
 
 // Command is one parsed script line: the lower-cased command word, its
@@ -14,13 +16,26 @@ type Command struct {
 	Name     string
 	Args     []string
 	Redirect string
+
+	run step // the command with its arguments already parsed
+}
+
+// step is a parsed command, ready to run against the interpreter.
+type step func(in *Interp) error
+
+// command is one entry of the script's command table. parse validates
+// everything knowable without a graph — arity, argument syntax, static
+// ranges — and returns the step holding the typed arguments, so each
+// line is parsed exactly once.
+type command struct {
+	needsGraph, needsRemote bool
+	parse                   func(args []string, redirect string) (step, error)
 }
 
 // ParseLine is the static half of script interpretation: it splits a line
 // into command, arguments and redirect, and validates everything knowable
-// without a loaded graph — command existence, arity, argument syntax and
-// static ranges. Graph-dependent checks (a BFS source within the loaded
-// vertex count, a component rank that exists) stay with execution.
+// without a loaded graph. Graph-dependent checks (a BFS source within the
+// loaded vertex count, a component rank that exists) stay with execution.
 //
 // Every error ParseLine returns is parse-class, and ParseLine never
 // panics on arbitrary input — the property FuzzScriptParse enforces.
@@ -46,171 +61,183 @@ func ParseLine(line string) (Command, error) {
 		return Command{}, nil
 	}
 	cmd := Command{Name: strings.ToLower(fields[0]), Args: fields[1:], Redirect: redirect}
-	check, ok := staticChecks[cmd.Name]
+	c, ok := commands[cmd.Name]
 	if !ok {
 		return Command{}, parseErrf("unknown command %q", cmd.Name)
 	}
-	if check != nil {
-		if err := check(cmd.Args); err != nil {
-			return Command{}, err
-		}
+	run, err := c.parse(cmd.Args, redirect)
+	if err != nil {
+		return Command{}, err
 	}
+	cmd.run = run
 	return cmd, nil
 }
 
-// staticChecks maps every command to its graph-independent argument
-// validation; a nil check accepts any arguments. The map doubles as the
-// command registry — membership decides "unknown command".
-var staticChecks = map[string]func(args []string) error{
-	"read": func(args []string) error {
+// commands is the script's one command table: membership decides
+// "unknown command", needsGraph and needsRemote decide "no graph loaded"
+// and "not connected", and parse turns the arguments into the step.
+var commands = map[string]command{
+	"read": {parse: func(args []string, _ string) (step, error) {
 		if len(args) != 2 {
-			return parseErrf("usage: read dimacs|binary|snapshot FILE")
+			return nil, parseErrf("usage: read dimacs|binary|snapshot FILE")
 		}
-		switch strings.ToLower(args[0]) {
+		kind, file := strings.ToLower(args[0]), args[1]
+		switch kind {
 		case "dimacs", "edgelist", "binary", "snapshot":
-			return nil
+			return func(in *Interp) error { return in.cmdRead(kind, file) }, nil
 		}
-		return parseErrf("unknown graph format %q", strings.ToLower(args[0]))
-	},
-	"print": func(args []string) error {
+		return nil, parseErrf("unknown graph format %q", kind)
+	}},
+	"connect":    {parse: exactly(1, "usage: connect URL", (*Interp).cmdConnect)},
+	"disconnect": {needsRemote: true, parse: exactly(0, "usage: disconnect", (*Interp).cmdDisconnect)},
+	"graphs":     {needsRemote: true, parse: exactly(0, "usage: graphs", (*Interp).cmdGraphs)},
+	"fetch":      {needsRemote: true, parse: exactly(1, "usage: fetch NAME", (*Interp).cmdFetch)},
+	"compare": {parse: func(args []string, _ string) (step, error) {
+		if len(args) != 3 {
+			return nil, parseErrf("usage: compare FILE1 FILE2 TOP_PERCENT")
+		}
+		pct, err := strconv.ParseFloat(args[2], 64)
+		if err != nil || pct <= 0 || pct > 100 {
+			return nil, parseErrf("bad top percent %q", args[2])
+		}
+		return func(in *Interp) error { return in.cmdCompare(args[0], args[1], pct) }, nil
+	}},
+	"print": {needsGraph: true, parse: func(args []string, _ string) (step, error) {
 		if len(args) == 0 {
-			return parseErrf("usage: print diameter|degrees|components [...]")
+			return nil, parseErrf("usage: print diameter|degrees|components [...]")
 		}
 		switch strings.ToLower(args[0]) {
 		case "diameter":
+			// "print diameter 10" estimates from 10 percent of the
+			// vertices; no argument uses the 256-source default.
+			pct := 0
 			if len(args) >= 2 {
-				pct, err := strconv.Atoi(args[1])
-				if err != nil || pct <= 0 || pct > 100 {
-					return parseErrf("bad diameter sample percent %q", args[1])
+				var err error
+				if pct, err = strconv.Atoi(args[1]); err != nil || pct <= 0 || pct > 100 {
+					return nil, parseErrf("bad diameter sample percent %q", args[1])
 				}
 			}
-			return nil
-		case "degrees", "components":
-			return nil
+			return func(in *Interp) error { return in.printDiameter(pct) }, nil
+		case "degrees":
+			return (*Interp).printDegrees, nil
+		case "components":
+			return (*Interp).cmdComponents, nil
 		}
-		return parseErrf("unknown print target %q", args[0])
-	},
-	"save": func(args []string) error {
+		return nil, parseErrf("unknown print target %q", args[0])
+	}},
+	"save": {needsGraph: true, parse: func(args []string, _ string) (step, error) {
 		switch {
 		case len(args) == 1 && strings.ToLower(args[0]) == "graph":
-			return nil
+			return func(in *Interp) error { in.tk.Save(); return nil }, nil
 		case len(args) == 2 && strings.ToLower(args[0]) == "snapshot":
-			return nil
+			return func(in *Interp) error { return in.saveSnapshot(args[1]) }, nil
 		}
-		return parseErrf("usage: save graph | save snapshot FILE")
-	},
-	"restore": func(args []string) error {
+		return nil, parseErrf("usage: save graph | save snapshot FILE")
+	}},
+	"restore": {needsGraph: true, parse: func(args []string, _ string) (step, error) {
 		if len(args) != 1 || strings.ToLower(args[0]) != "graph" {
-			return parseErrf("usage: restore graph")
+			return nil, parseErrf("usage: restore graph")
 		}
-		return nil
-	},
-	"extract": func(args []string) error {
+		return func(in *Interp) error { return in.tk.Restore() }, nil
+	}},
+	"extract": {needsGraph: true, parse: func(args []string, redirect string) (step, error) {
 		if len(args) != 2 || strings.ToLower(args[0]) != "component" {
-			return parseErrf("usage: extract component N [=> file.bin]")
+			return nil, parseErrf("usage: extract component N [=> file.bin]")
 		}
-		if _, err := strconv.Atoi(args[1]); err != nil {
-			return parseErrf("bad component rank %q", args[1])
-		}
-		return nil
-	},
-	"kcentrality": func(args []string) error {
-		if len(args) < 2 || len(args) > 4 {
-			return parseErrf(kcentralityUsage)
-		}
-		k, err := strconv.Atoi(args[0])
-		if err != nil || k < 0 || k > bc.MaxK {
-			return parseErrf("bad k %q (supported range 0..%d)", args[0], bc.MaxK)
-		}
-		samples, err := strconv.Atoi(args[1])
+		rank, err := strconv.Atoi(args[1])
 		if err != nil {
-			return parseErrf("bad sample count %q", args[1])
+			return nil, parseErrf("bad component rank %q", args[1])
 		}
-		eps, _, err := parseAdaptiveArgs(args[2:])
+		return func(in *Interp) error { return in.cmdExtract(rank, redirect) }, nil
+	}},
+	"reorder": {needsGraph: true, parse: func(args []string, _ string) (step, error) {
+		if len(args) != 1 {
+			return nil, parseErrf("usage: reorder degree|bfs")
+		}
+		kind, err := graph.ParseReorder(strings.ToLower(args[0]))
+		if err != nil || kind == graph.ReorderNone {
+			return nil, parseErrf("unknown reorder %q (want degree or bfs)", args[0])
+		}
+		return func(in *Interp) error { return in.cmdReorder(kind) }, nil
+	}},
+	"clustering": {needsGraph: true, parse: func(_ []string, redirect string) (step, error) {
+		return func(in *Interp) error { return in.cmdClustering(redirect) }, nil
+	}},
+	"components": {needsGraph: true, parse: anyArgs((*Interp).cmdComponents)},
+	"stats":      {needsGraph: true, parse: anyArgs((*Interp).cmdStats)},
+	"undirected": {needsGraph: true, parse: anyArgs(func(in *Interp) error { in.tk.ToUndirected(); return nil })},
+	"reciprocal": {needsGraph: true, parse: anyArgs(func(in *Interp) error { in.tk.ReciprocalCore(); return nil })},
+
+	// Kernel commands: arguments bind to the served kernel's parameter
+	// names and validate through internal/kernel's table.
+	"kcentrality": {needsGraph: true, parse: func(args []string, redirect string) (step, error) {
+		// With eps=/delta= the SAMPLES slot is a placeholder that must be
+		// zero ("kcentrality 0 0 eps=E") and binds to no parameter: the
+		// estimator sizes its own sample count.
+		params := []string{"k", "samples"}
+		if len(args) > 2 {
+			if n, err := strconv.Atoi(args[1]); err == nil && n == 0 {
+				params[1] = ""
+			}
+		}
+		return kernelCommand("kcentrality", "usage: kcentrality K SAMPLES [eps=E [delta=D]] [=> file]",
+			params, map[string]string{"eps": "epsilon", "delta": "delta"}, (*Interp).cmdKCentrality)(args, redirect)
+	}},
+	"kcores": {needsGraph: true, parse: kernelCommand("kcores", "usage: kcores K", []string{"k"}, nil, (*Interp).cmdKCores)},
+	"bfs":    {needsGraph: true, parse: kernelCommand("bfs", "usage: bfs SOURCE DEPTH", []string{"src", "depth"}, nil, (*Interp).cmdBFS)},
+	"sssp":   {needsGraph: true, parse: kernelCommand("sssp", "usage: sssp SOURCE [=> dist.txt]", []string{"src"}, nil, (*Interp).cmdSSSP)},
+}
+
+// exactly accepts exactly n arguments, which run receives.
+func exactly(n int, usage string, run func(in *Interp, args []string) error) func([]string, string) (step, error) {
+	return func(args []string, _ string) (step, error) {
+		if len(args) != n {
+			return nil, parseErrf("%s", usage)
+		}
+		return func(in *Interp) error { return run(in, args) }, nil
+	}
+}
+
+// anyArgs ignores the arguments of a command that takes none.
+func anyArgs(run step) func([]string, string) (step, error) {
+	return func([]string, string) (step, error) { return run, nil }
+}
+
+// kernelCommand parses a kernel command: it binds the arguments to the
+// kernel's parameter names — the first len(params) in order (a "" name
+// binds none), then optional NAME=V suffixes whose script NAME opts
+// translates — and validates them through the kernel table. There is no
+// graph yet, so the step checks vertex ids against the loaded graph
+// before it runs.
+func kernelCommand(name, usage string, params []string, opts map[string]string,
+	run func(in *Interp, c kernel.Call, redirect string) error) func([]string, string) (step, error) {
+	return func(args []string, redirect string) (step, error) {
+		if len(args) < len(params) || len(args) > len(params)+len(opts) {
+			return nil, parseErrf("%s", usage)
+		}
+		q := url.Values{}
+		for i, p := range params {
+			if p != "" {
+				q.Set(p, args[i])
+			}
+		}
+		for _, a := range args[len(params):] {
+			opt, v, _ := strings.Cut(a, "=")
+			p, ok := opts[opt]
+			if !ok || v == "" || q.Has(p) {
+				return nil, parseErrf("%s", usage)
+			}
+			q.Set(p, v)
+		}
+		c, err := kernel.Parse(name, q, -1)
 		if err != nil {
-			return err
+			return nil, parseError{err}
 		}
-		if eps > 0 && (k != 0 || samples != 0) {
-			return parseErrf("adaptive kcentrality needs k=0 and samples=0 (eps sizes its own sample count)")
-		}
-		return nil
-	},
-	"components": nil,
-	"kcores": func(args []string) error {
-		if len(args) != 1 {
-			return parseErrf("usage: kcores K")
-		}
-		if k, err := strconv.Atoi(args[0]); err != nil || k < 0 {
-			return parseErrf("bad core level %q", args[0])
-		}
-		return nil
-	},
-	"clustering": nil,
-	"undirected": nil,
-	"reciprocal": nil,
-	"reorder": func(args []string) error {
-		if len(args) != 1 {
-			return parseErrf("usage: reorder degree|bfs")
-		}
-		switch strings.ToLower(args[0]) {
-		case "degree", "bfs":
-			return nil
-		}
-		return parseErrf("unknown reorder %q (want degree or bfs)", args[0])
-	},
-	"bfs": func(args []string) error {
-		if len(args) != 2 {
-			return parseErrf("usage: bfs SOURCE DEPTH")
-		}
-		if src, err := strconv.Atoi(args[0]); err != nil || src < 0 {
-			return parseErrf("bad source %q", args[0])
-		}
-		if _, err := strconv.Atoi(args[1]); err != nil {
-			return parseErrf("bad depth %q", args[1])
-		}
-		return nil
-	},
-	"compare": func(args []string) error {
-		if len(args) != 3 {
-			return parseErrf("usage: compare FILE1 FILE2 TOP_PERCENT")
-		}
-		if pct, err := strconv.ParseFloat(args[2], 64); err != nil || pct <= 0 || pct > 100 {
-			return parseErrf("bad top percent %q", args[2])
-		}
-		return nil
-	},
-	"stats": nil,
-	"connect": func(args []string) error {
-		if len(args) != 1 {
-			return parseErrf("usage: connect URL")
-		}
-		return nil
-	},
-	"disconnect": func(args []string) error {
-		if len(args) != 0 {
-			return parseErrf("usage: disconnect")
-		}
-		return nil
-	},
-	"graphs": func(args []string) error {
-		if len(args) != 0 {
-			return parseErrf("usage: graphs")
-		}
-		return nil
-	},
-	"fetch": func(args []string) error {
-		if len(args) != 1 {
-			return parseErrf("usage: fetch NAME")
-		}
-		return nil
-	},
-	"sssp": func(args []string) error {
-		if len(args) != 1 {
-			return parseErrf("usage: sssp SOURCE [=> dist.txt]")
-		}
-		if src, err := strconv.Atoi(args[0]); err != nil || src < 0 {
-			return parseErrf("bad source %q", args[0])
-		}
-		return nil
-	},
+		return func(in *Interp) error {
+			if err := c.InGraph(in.tk.Graph().NumVertices()); err != nil {
+				return parseError{err}
+			}
+			return run(in, c, redirect)
+		}, nil
+	}
 }

@@ -91,19 +91,13 @@ func (in *Interp) cmdConnect(args []string) error {
 	return nil
 }
 
-func (in *Interp) cmdDisconnect() error {
-	if in.remote == nil {
-		return parseErrf("not connected (missing connect command)")
-	}
+func (in *Interp) cmdDisconnect([]string) error {
 	in.remote = nil
 	fmt.Fprintln(in.out, "disconnected")
 	return nil
 }
 
-func (in *Interp) cmdGraphs() error {
-	if in.remote == nil {
-		return parseErrf("not connected (missing connect command)")
-	}
+func (in *Interp) cmdGraphs([]string) error {
 	infos, err := in.remote.graphs()
 	if err != nil {
 		return err
@@ -124,9 +118,6 @@ func (in *Interp) cmdGraphs() error {
 // cmdFetch pulls a graph's newest durable snapshot off the daemon (or, via
 // a router, off whichever shard owns it) and makes it the current graph.
 func (in *Interp) cmdFetch(args []string) error {
-	if in.remote == nil {
-		return parseErrf("not connected (missing connect command)")
-	}
 	name := args[0]
 	body, err := in.remote.get("/graphs/" + url.PathEscape(name) + "/snapshot")
 	if err != nil {
@@ -137,7 +128,5 @@ func (in *Interp) cmdFetch(args []string) error {
 		return fmt.Errorf("decode snapshot of %q: %w", name, err)
 	}
 	in.tk = core.New(snap.Graph, core.WithSeed(in.seed))
-	g := in.tk.Graph()
-	fmt.Fprintf(in.out, "fetched %s: %d vertices, %d edges\n", name, g.NumVertices(), g.NumEdges())
-	return nil
+	return in.sized("fetched %s", name)
 }

@@ -26,6 +26,7 @@ import (
 	"graphct/internal/core"
 	"graphct/internal/dimacs"
 	"graphct/internal/graph"
+	"graphct/internal/kernel"
 	"graphct/internal/rank"
 	"graphct/internal/sssp"
 	"graphct/internal/stats"
@@ -74,13 +75,6 @@ type Interp struct {
 	line   int
 }
 
-// noGraphNeeded names the commands that run before any graph is loaded:
-// the ones that load graphs, operate on score files, or talk to a daemon.
-var noGraphNeeded = map[string]bool{
-	"read": true, "compare": true,
-	"connect": true, "disconnect": true, "graphs": true, "fetch": true,
-}
-
 // New returns an interpreter writing kernel output to out. Relative paths
 // in scripts resolve against dir ("" = current directory).
 func New(out io.Writer, dir string) *Interp {
@@ -126,9 +120,8 @@ func (in *Interp) RunFile(path string) error {
 
 // Exec executes one script line: ParseLine does the static validation
 // (so malformed commands are rejected before any kernel state is touched
-// or mutated), then the matching handler runs with the interpreter's
-// graph. Handlers re-derive their typed arguments and add the
-// graph-dependent checks parsing cannot do.
+// or mutated), then the parsed step runs with the interpreter's graph
+// and adds the graph-dependent checks parsing cannot do.
 func (in *Interp) Exec(line string) error {
 	c, err := ParseLine(line)
 	if err != nil {
@@ -137,81 +130,22 @@ func (in *Interp) Exec(line string) error {
 	if c.Name == "" { // blank or comment
 		return nil
 	}
-	args, redirect := c.Args, c.Redirect
-	if !noGraphNeeded[c.Name] && in.tk == nil {
+	switch cmd := commands[c.Name]; {
+	case cmd.needsGraph && in.tk == nil:
 		return parseErrf("no graph loaded (missing read command)")
+	case cmd.needsRemote && in.remote == nil:
+		return parseErrf("not connected (missing connect command)")
 	}
-	switch c.Name {
-	case "read":
-		return in.cmdRead(args)
-	case "connect":
-		return in.cmdConnect(args)
-	case "disconnect":
-		return in.cmdDisconnect()
-	case "graphs":
-		return in.cmdGraphs()
-	case "fetch":
-		return in.cmdFetch(args)
-	case "print":
-		return in.cmdPrint(args, redirect)
-	case "save":
-		return in.cmdSave(args)
-	case "restore":
-		return in.cmdRestore(args)
-	case "extract":
-		return in.cmdExtract(args, redirect)
-	case "kcentrality":
-		return in.cmdKCentrality(args, redirect)
-	case "components":
-		return in.cmdComponents()
-	case "kcores":
-		return in.cmdKCores(args)
-	case "clustering":
-		return in.cmdClustering(redirect)
-	case "undirected":
-		in.tk.ToUndirected()
-		return nil
-	case "reciprocal":
-		in.tk.ReciprocalCore()
-		return nil
-	case "reorder":
-		return in.cmdReorder(args)
-	case "bfs":
-		return in.cmdBFS(args)
-	case "compare":
-		return in.cmdCompare(args)
-	case "stats":
-		return in.cmdStats()
-	case "sssp":
-		return in.cmdSSSP(args, redirect)
-	default:
-		return parseErrf("unknown command %q", c.Name)
-	}
+	return c.run(in)
 }
 
 // cmdSSSP runs weighted single-source shortest paths via delta-stepping;
 // "=> file" writes per-vertex distances (-1 for unreachable).
-func (in *Interp) cmdSSSP(args []string, redirect string) error {
-	if len(args) != 1 {
-		return parseErrf("usage: sssp SOURCE [=> dist.txt]")
-	}
-	src, err := strconv.Atoi(args[0])
-	if err != nil || src < 0 || src >= in.tk.Graph().NumVertices() {
-		return parseErrf("bad source %q", args[0])
-	}
+func (in *Interp) cmdSSSP(c kernel.Call, redirect string) error {
+	src := c.Int("src")
 	res, err := in.tk.SSSP(int32(src))
 	if err != nil {
 		return err
-	}
-	reached := 0
-	maxDist := int64(0)
-	for _, d := range res.Dist {
-		if d != sssp.Inf {
-			reached++
-			if d > maxDist {
-				maxDist = d
-			}
-		}
 	}
 	if redirect != "" {
 		scores := make([]float64, len(res.Dist))
@@ -224,6 +158,7 @@ func (in *Interp) cmdSSSP(args []string, redirect string) error {
 		}
 		return writeScores(in.path(redirect), scores)
 	}
+	reached, maxDist := res.Extent()
 	fmt.Fprintf(in.out, "sssp from %d: reached %d vertices, max distance %d\n", src, reached, maxDist)
 	return nil
 }
@@ -244,19 +179,12 @@ func (in *Interp) cmdStats() error {
 // files: "compare exact.txt approx.txt 5" prints the overlap of the top
 // 5% of vertices between the two rankings (the paper's normalized set
 // Hamming comparison).
-func (in *Interp) cmdCompare(args []string) error {
-	if len(args) != 3 {
-		return parseErrf("usage: compare FILE1 FILE2 TOP_PERCENT")
-	}
-	pct, err := strconv.ParseFloat(args[2], 64)
-	if err != nil || pct <= 0 || pct > 100 {
-		return parseErrf("bad top percent %q", args[2])
-	}
-	a, err := readScores(in.path(args[0]))
+func (in *Interp) cmdCompare(file1, file2 string, pct float64) error {
+	a, err := readScores(in.path(file1))
 	if err != nil {
 		return err
 	}
-	b, err := readScores(in.path(args[1]))
+	b, err := readScores(in.path(file2))
 	if err != nil {
 		return err
 	}
@@ -318,11 +246,8 @@ func (in *Interp) path(p string) string {
 	return filepath.Join(in.dir, p)
 }
 
-func (in *Interp) cmdRead(args []string) error {
-	if len(args) != 2 {
-		return parseErrf("usage: read dimacs|binary|snapshot FILE")
-	}
-	kind, file := strings.ToLower(args[0]), in.path(args[1])
+func (in *Interp) cmdRead(kind, file string) error {
+	file = in.path(file)
 	var err error
 	switch kind {
 	case "dimacs":
@@ -336,169 +261,84 @@ func (in *Interp) cmdRead(args []string) error {
 		if snap, err = blob.ReadSnapshotFile(file); err == nil {
 			in.tk = core.New(snap.Graph, core.WithSeed(in.seed))
 		}
-	default:
-		return parseErrf("unknown graph format %q", kind)
 	}
 	if err != nil {
 		return err
 	}
+	return in.sized("read %s", filepath.Base(file))
+}
+
+// sized prints what a command did to the current graph and its new size.
+func (in *Interp) sized(format string, args ...any) error {
 	g := in.tk.Graph()
-	fmt.Fprintf(in.out, "read %s: %d vertices, %d edges\n", filepath.Base(file), g.NumVertices(), g.NumEdges())
+	fmt.Fprintf(in.out, "%s: %d vertices, %d edges\n", fmt.Sprintf(format, args...), g.NumVertices(), g.NumEdges())
 	return nil
 }
 
-func (in *Interp) cmdPrint(args []string, redirect string) error {
-	if len(args) == 0 {
-		return parseErrf("usage: print diameter|degrees|components [...]")
-	}
-	switch strings.ToLower(args[0]) {
-	case "diameter":
-		// "print diameter 10" estimates from 10 percent of the
-		// vertices; no argument uses the 256-source default.
-		d := in.tk.Diameter()
-		if len(args) >= 2 {
-			pct, err := strconv.Atoi(args[1])
-			if err != nil || pct <= 0 || pct > 100 {
-				return parseErrf("bad diameter sample percent %q", args[1])
-			}
-			n := in.tk.Graph().NumVertices()
-			samples := n * pct / 100
-			if samples < 1 {
-				samples = 1
-			}
-			d = stats.EstimateDiameter(in.tk.Graph(), samples, 4, in.seed)
+// printDiameter estimates the diameter from pct percent of the vertices
+// (0 = the toolkit's 256-source default).
+func (in *Interp) printDiameter(pct int) error {
+	d := in.tk.Diameter()
+	if pct > 0 {
+		samples := in.tk.Graph().NumVertices() * pct / 100
+		if samples < 1 {
+			samples = 1
 		}
-		fmt.Fprintf(in.out, "diameter estimate %d (longest sampled path %d from %d sources)\n",
-			d.Estimate, d.LongestPath, d.Sources)
-	case "degrees":
-		s := in.tk.DegreeStats()
-		fmt.Fprintf(in.out, "degrees: n %d, mean %.4f, variance %.4f, max %d\n", s.N, s.Mean, s.Variance, s.Max)
-	case "components":
-		return in.cmdComponents()
-	default:
-		return parseErrf("unknown print target %q", args[0])
+		d = stats.EstimateDiameter(in.tk.Graph(), samples, 4, in.seed)
 	}
-	_ = redirect
+	fmt.Fprintf(in.out, "diameter estimate %d (longest sampled path %d from %d sources)\n",
+		d.Estimate, d.LongestPath, d.Sources)
 	return nil
 }
 
-// cmdSave handles both memories: "save graph" pushes onto the in-memory
-// stack, "save snapshot FILE" writes the current graph in graphctd's
-// durable snapshot format (the same bytes the daemon persists), so a
-// script can hand a graph to — or pick one up from — a daemon data dir.
-func (in *Interp) cmdSave(args []string) error {
-	switch {
-	case len(args) == 1 && strings.ToLower(args[0]) == "graph":
-		in.tk.Save()
-		return nil
-	case len(args) == 2 && strings.ToLower(args[0]) == "snapshot":
-		file := in.path(args[1])
-		g := in.tk.Graph()
-		if err := blob.WriteSnapshotFile(file, blob.Snapshot{Graph: g}); err != nil {
-			return err
-		}
-		fmt.Fprintf(in.out, "saved snapshot %s: %d vertices, %d edges\n",
-			filepath.Base(file), g.NumVertices(), g.NumEdges())
-		return nil
-	}
-	return parseErrf("usage: save graph | save snapshot FILE")
+func (in *Interp) printDegrees() error {
+	s := in.tk.DegreeStats()
+	fmt.Fprintf(in.out, "degrees: n %d, mean %.4f, variance %.4f, max %d\n", s.N, s.Mean, s.Variance, s.Max)
+	return nil
 }
 
-func (in *Interp) cmdRestore(args []string) error {
-	if len(args) != 1 || strings.ToLower(args[0]) != "graph" {
-		return parseErrf("usage: restore graph")
+// saveSnapshot writes the current graph in graphctd's durable snapshot
+// format (the same bytes the daemon persists), so a script can hand a
+// graph to — or pick one up from — a daemon data dir. "save graph", the
+// other memory, pushes onto the in-memory stack.
+func (in *Interp) saveSnapshot(file string) error {
+	file = in.path(file)
+	if err := blob.WriteSnapshotFile(file, blob.Snapshot{Graph: in.tk.Graph()}); err != nil {
+		return err
 	}
-	return in.tk.Restore()
+	return in.sized("saved snapshot %s", filepath.Base(file))
 }
 
-func (in *Interp) cmdExtract(args []string, redirect string) error {
-	if len(args) != 2 || strings.ToLower(args[0]) != "component" {
-		return parseErrf("usage: extract component N [=> file.bin]")
-	}
-	rank, err := strconv.Atoi(args[1])
-	if err != nil {
-		return parseErrf("bad component rank %q", args[1])
-	}
+func (in *Interp) cmdExtract(rank int, redirect string) error {
 	if err := in.tk.ExtractComponent(rank); err != nil {
 		return err
 	}
-	g := in.tk.Graph()
-	fmt.Fprintf(in.out, "extracted component %d: %d vertices, %d edges\n", rank, g.NumVertices(), g.NumEdges())
+	in.sized("extracted component %d", rank)
 	if redirect != "" {
-		return dimacs.SaveBinary(in.path(redirect), g)
+		return dimacs.SaveBinary(in.path(redirect), in.tk.Graph())
 	}
 	return nil
 }
 
-const kcentralityUsage = "usage: kcentrality K SAMPLES [eps=E [delta=D]] [=> file]"
-
-// parseAdaptiveArgs parses kcentrality's optional adaptive suffix
-// (eps=E, then optionally delta=D). A returned eps of 0 means the suffix
-// was absent — fixed-k sampling mode; with eps given, delta defaults to
-// the kernel's DefaultDelta.
-func parseAdaptiveArgs(extra []string) (eps, delta float64, err error) {
-	if len(extra) == 0 {
-		return 0, 0, nil
+// cmdKCentrality runs fixed-k sampled betweenness, or the adaptive
+// (ε,δ)-guaranteed estimator when the call carries an epsilon.
+func (in *Interp) cmdKCentrality(c kernel.Call, redirect string) error {
+	var res *bc.Result
+	var header string
+	if eps := c.Float("epsilon"); eps > 0 {
+		ar := in.tk.ApproxCentrality(eps, c.Float("delta"), 0)
+		g := ar.Guarantee
+		res = &ar.Result
+		header = fmt.Sprintf("adaptive eps=%g delta=%g samples=%d rounds=%d", g.Epsilon, g.Delta, g.SamplesUsed, g.Rounds)
+	} else {
+		res = in.tk.KCentrality(c.Int("k"), c.Int("samples"))
+		header = fmt.Sprintf("k=%d samples=%d", c.Int("k"), len(res.Sources))
 	}
-	if !strings.HasPrefix(extra[0], "eps=") {
-		return 0, 0, parseErrf(kcentralityUsage)
-	}
-	eps, err = strconv.ParseFloat(strings.TrimPrefix(extra[0], "eps="), 64)
-	if err != nil || eps <= 0 || eps >= 1 {
-		return 0, 0, parseErrf("bad %q (need 0 < eps < 1)", extra[0])
-	}
-	delta = bc.DefaultDelta
-	if len(extra) > 1 {
-		if len(extra) > 2 || !strings.HasPrefix(extra[1], "delta=") {
-			return 0, 0, parseErrf(kcentralityUsage)
-		}
-		delta, err = strconv.ParseFloat(strings.TrimPrefix(extra[1], "delta="), 64)
-		if err != nil || delta <= 0 || delta >= 1 {
-			return 0, 0, parseErrf("bad %q (need 0 < delta < 1)", extra[1])
-		}
-	}
-	return eps, delta, nil
-}
-
-func (in *Interp) cmdKCentrality(args []string, redirect string) error {
-	if len(args) < 2 || len(args) > 4 {
-		return parseErrf(kcentralityUsage)
-	}
-	k, err := strconv.Atoi(args[0])
-	if err != nil || k < 0 || k > bc.MaxK {
-		return parseErrf("bad k %q (supported range 0..%d)", args[0], bc.MaxK)
-	}
-	samples, err := strconv.Atoi(args[1])
-	if err != nil {
-		return parseErrf("bad sample count %q", args[1])
-	}
-	eps, delta, err := parseAdaptiveArgs(args[2:])
-	if err != nil {
-		return err
-	}
-	if eps > 0 {
-		if k != 0 || samples != 0 {
-			return parseErrf("adaptive kcentrality needs k=0 and samples=0 (eps sizes its own sample count)")
-		}
-		res := in.tk.ApproxCentrality(eps, delta, 0)
-		if redirect != "" {
-			return writeScores(in.path(redirect), res.Scores)
-		}
-		g := res.Guarantee
-		fmt.Fprintf(in.out, "kcentrality adaptive eps=%g delta=%g samples=%d rounds=%d top vertices:\n",
-			g.Epsilon, g.Delta, g.SamplesUsed, g.Rounds)
-		for i, v := range res.TopK(10) {
-			fmt.Fprintf(in.out, "%2d. vertex %d score %.2f\n", i+1, in.tk.OrigID(v), res.Scores[v])
-		}
-		return nil
-	}
-	res := in.tk.KCentrality(k, samples)
 	if redirect != "" {
 		return writeScores(in.path(redirect), res.Scores)
 	}
-	top := res.TopK(10)
-	fmt.Fprintf(in.out, "kcentrality k=%d samples=%d top vertices:\n", k, len(res.Sources))
-	for i, v := range top {
+	fmt.Fprintf(in.out, "kcentrality %s top vertices:\n", header)
+	for i, v := range res.TopK(10) {
 		fmt.Fprintf(in.out, "%2d. vertex %d score %.2f\n", i+1, in.tk.OrigID(v), res.Scores[v])
 	}
 	return nil
@@ -508,20 +348,11 @@ func (in *Interp) cmdKCentrality(args []string, redirect string) error {
 // later per-vertex output still refer to the loaded graph (the toolkit
 // composes the inverse permutation into its orig-id mapping), so the
 // command changes kernel speed, not kernel answers.
-func (in *Interp) cmdReorder(args []string) error {
-	if len(args) != 1 {
-		return parseErrf("usage: reorder degree|bfs")
-	}
-	kind, err := graph.ParseReorder(strings.ToLower(args[0]))
-	if err != nil || kind == graph.ReorderNone {
-		return parseErrf("unknown reorder %q (want degree or bfs)", args[0])
-	}
+func (in *Interp) cmdReorder(kind graph.ReorderKind) error {
 	if err := in.tk.Reorder(kind); err != nil {
 		return err
 	}
-	g := in.tk.Graph()
-	fmt.Fprintf(in.out, "reordered %s: %d vertices, %d edges\n", kind, g.NumVertices(), g.NumEdges())
-	return nil
+	return in.sized("reordered %s", kind)
 }
 
 func (in *Interp) cmdComponents() error {
@@ -537,18 +368,9 @@ func (in *Interp) cmdComponents() error {
 	return nil
 }
 
-func (in *Interp) cmdKCores(args []string) error {
-	if len(args) != 1 {
-		return parseErrf("usage: kcores K")
-	}
-	k, err := strconv.Atoi(args[0])
-	if err != nil || k < 0 {
-		return parseErrf("bad core level %q", args[0])
-	}
-	in.tk.KCores(int32(k))
-	g := in.tk.Graph()
-	fmt.Fprintf(in.out, "%d-core: %d vertices, %d edges\n", k, g.NumVertices(), g.NumEdges())
-	return nil
+func (in *Interp) cmdKCores(c kernel.Call, _ string) error {
+	in.tk.KCores(int32(c.Int("k")))
+	return in.sized("%d-core", c.Int("k"))
 }
 
 func (in *Interp) cmdClustering(redirect string) error {
@@ -560,19 +382,9 @@ func (in *Interp) cmdClustering(redirect string) error {
 	return nil
 }
 
-func (in *Interp) cmdBFS(args []string) error {
-	if len(args) != 2 {
-		return parseErrf("usage: bfs SOURCE DEPTH")
-	}
-	src, err := strconv.Atoi(args[0])
-	if err != nil || src < 0 || src >= in.tk.Graph().NumVertices() {
-		return parseErrf("bad source %q", args[0])
-	}
-	depth, err := strconv.Atoi(args[1])
-	if err != nil {
-		return parseErrf("bad depth %q", args[1])
-	}
-	r := in.tk.BFS(int32(src), depth)
+func (in *Interp) cmdBFS(c kernel.Call, _ string) error {
+	src := c.Int("src")
+	r := in.tk.BFS(int32(src), c.Int("depth"))
 	fmt.Fprintf(in.out, "bfs from %d: reached %d vertices, depth %d\n", src, r.NumReached(), r.Depth)
 	return nil
 }

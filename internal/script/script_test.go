@@ -246,6 +246,7 @@ func TestBadArguments(t *testing.T) {
 		"kcentrality 1 y",
 		"kcores",
 		"kcores x",
+		"kcores 4294967298", // truncates to the 2-core as int32
 		"bfs 0",
 		"bfs 99 1",
 		"bfs x 1",
@@ -680,4 +681,43 @@ func TestReorderCommandRejectsBadArgs(t *testing.T) {
 	if _, err := run(t, dir, "read dimacs test.dimacs\nreorder hilbert\n"); err == nil || !strings.Contains(err.Error(), "unknown reorder") {
 		t.Errorf("unknown kind: err = %v, want unknown-reorder error", err)
 	}
+}
+
+// TestKernelBadParams rejects every scriptable row of the shared
+// bad-parameter table with a parse-class error (graphctd answers the
+// same rows with 400).
+func TestKernelBadParams(t *testing.T) {
+	dir := t.TempDir()
+	sample, err := filepath.Abs("../../testdata/sample.dimacs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range badParams(t) {
+		if row[2] == "-" {
+			continue
+		}
+		if se := classify(t, dir, "read dimacs "+sample+"\n"+row[2]+"\n"); !se.Parse || se.Line != 2 {
+			t.Errorf("%q: %v (parse %v), want a parse error on line 2", row[2], se, se.Parse)
+		}
+	}
+}
+
+// badParams loads the bad-parameter table shared by the graphctd and
+// script tests: rows of kernel | query | script line ("-": no spelling).
+func badParams(t *testing.T) [][3]string {
+	t.Helper()
+	data, err := os.ReadFile("../kernel/testdata/bad_params.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][3]string
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Split(line, "|"); len(f) == 3 && !strings.HasPrefix(line, "#") {
+			rows = append(rows, [3]string{strings.TrimSpace(f[0]), strings.TrimSpace(f[1]), strings.TrimSpace(f[2])})
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatal("bad-parameter table is empty")
+	}
+	return rows
 }

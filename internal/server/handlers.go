@@ -13,6 +13,7 @@ import (
 	"graphct/internal/api"
 	"graphct/internal/core"
 	"graphct/internal/failpoint"
+	"graphct/internal/kernel"
 )
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -193,7 +194,7 @@ func (s *Server) cacheResult(key, staleKey string, epoch uint64, body []byte) {
 // pool with panic isolation and optional stale fallback.
 func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	kernel := r.PathValue("kernel")
+	kernelName := r.PathValue("kernel")
 	e, ok := s.reg.Get(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, "no graph %q", name)
@@ -232,10 +233,13 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	params, run, err := s.parseKernel(kernel, e, r.URL.Query())
+	// Validation happens here, before the request touches the cache or
+	// pool, so malformed requests are rejected with 400 without consuming
+	// serving-path resources.
+	call, err := kernel.Parse(kernelName, r.URL.Query(), e.Graph.NumVertices())
 	if err != nil {
-		if errors.Is(err, errUnknownKernel) {
-			writeError(w, http.StatusNotFound, "unknown kernel %q", kernel)
+		if errors.Is(err, kernel.ErrUnknown) {
+			writeError(w, http.StatusNotFound, "unknown kernel %q", kernelName)
 		} else {
 			writeError(w, http.StatusBadRequest, "%v", err)
 		}
@@ -264,7 +268,7 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request) {
 	// Classify before any resource is consumed: the class decides which
 	// admission lane the request competes in, and the header lets clients
 	// (and the load harness) attribute the latency they saw to a lane.
-	class := costClass(kernel)
+	class := call.Class
 	w.Header().Set(api.HeaderClass, class)
 	// Per-client fairness gates the whole serving path, cache hits
 	// included: a client above its rate is told to back off even when the
@@ -283,8 +287,9 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request) {
 	// pinned to the entry resolved above, so a snapshot published mid-flight
 	// cannot tear the response; the header tells clients which epoch served.
 	epochHeader(w, e.Epoch)
-	key := fmt.Sprintf("%s@%d/%s?%s", e.Name, e.Epoch, kernel, params)
-	staleKey := staleCacheKey(e.Name, kernel, params)
+	params := call.Key()
+	key := fmt.Sprintf("%s@%d/%s?%s", e.Name, e.Epoch, kernelName, params)
+	staleKey := staleCacheKey(e.Name, kernelName, params)
 	if historical {
 		staleKey = "" // point-in-time results never refresh the stale entry
 	}
@@ -298,7 +303,7 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request) {
 	// Cache hits serve even through an open breaker (they cost no kernel
 	// run); everything past this point risks an execution, so a tripped
 	// (graph, kernel) pair short-circuits to 503 — or a stale hit.
-	record, err := s.breakers.Allow(name + "/" + kernel)
+	record, err := s.breakers.Allow(name + "/" + kernelName)
 	if err != nil {
 		s.metrics.BreakerRejected.Add(1)
 		if staleOK && s.serveStale(w, staleKey) {
@@ -324,13 +329,16 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		defer s.pool.Release(class)
-		s.metrics.KernelStarted(kernel)
+		s.metrics.KernelStarted(kernelName)
 		if s.beforeKernel != nil {
-			s.beforeKernel(kernel)
+			s.beforeKernel(kernelName)
 		}
 		start := time.Now()
-		res, err := s.runKernel(ctx, run)
-		s.metrics.ObserveLatency(kernel, time.Since(start))
+		res, err := s.runKernel(ctx, call, kernel.Input{
+			Graph: e.Graph, Undirected: e.Undirected,
+			ToExternal: e.ToExternal, ToInternal: e.ToInternal, Seed: s.cfg.Seed,
+		})
+		s.metrics.ObserveLatency(kernelName, time.Since(start))
 		if err != nil {
 			return nil, err
 		}
@@ -368,6 +376,27 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request) {
 		source = "coalesced"
 	}
 	s.writeRaw(w, body, source)
+}
+
+// errKernelPanic marks a kernel execution that panicked and was isolated
+// by the per-kernel recover; it maps to HTTP 500 instead of a dead daemon.
+var errKernelPanic = errors.New("kernel panicked")
+
+// runKernel executes one kernel with panic isolation: a panicking kernel
+// (organic or injected via the kernel.exec failpoint) is converted into
+// an error on this request alone, counted in kernel_panics, and the
+// daemon keeps serving.
+func (s *Server) runKernel(ctx context.Context, call kernel.Call, in kernel.Input) (res any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.metrics.KernelPanics.Add(1)
+			err = fmt.Errorf("%w: %v", errKernelPanic, r)
+		}
+	}()
+	if err := failpoint.Eval(failpoint.KernelExec); err != nil {
+		return nil, err
+	}
+	return call.Run(ctx, in)
 }
 
 // staleCacheKey is the epochless cache key holding the latest computed

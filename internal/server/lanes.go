@@ -8,27 +8,15 @@ import (
 )
 
 // QoS cost classes. Every kernel request is classified before admission
-// and the class travels with the response as X-Graphct-Class, so clients
-// and the load harness can attribute latency to the lane that served it.
+// (each kernel's class is in the internal/kernel table) and the class
+// travels with the response as X-Graphct-Class, so clients and the load
+// harness can attribute latency to the lane that served it.
 // The values are the wire contract's (internal/api); the local names keep
 // call sites short.
 const (
 	ClassCheap     = api.ClassCheap
 	ClassExpensive = api.ClassExpensive
 )
-
-// costClass assigns a kernel its admission class. Expensive kernels are
-// the ones whose single execution can hold a pool slot for seconds to
-// minutes (sampled betweenness, diameter estimation — both sweep many
-// BFS/SSSP sources); everything else answers in microseconds to tens of
-// milliseconds and must never queue behind them.
-func costClass(kernel string) string {
-	switch kernel {
-	case "kcentrality", "diameter":
-		return ClassExpensive
-	}
-	return ClassCheap
-}
 
 // LanePool is the QoS-aware admission pool: at most maxRunning kernels
 // execute at once, and when a cheap reservation is configured, at most

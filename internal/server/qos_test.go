@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"graphct/internal/kernel"
 	"graphct/internal/load"
 	"graphct/internal/testutil"
 )
@@ -149,7 +150,7 @@ func TestLanePoolDisabled(t *testing.T) {
 }
 
 func TestCostClass(t *testing.T) {
-	for kernel, want := range map[string]string{
+	for name, want := range map[string]string{
 		"kcentrality": ClassExpensive,
 		"diameter":    ClassExpensive,
 		"stats":       ClassCheap,
@@ -157,8 +158,8 @@ func TestCostClass(t *testing.T) {
 		"components":  ClassCheap,
 		"kcores":      ClassCheap,
 	} {
-		if got := costClass(kernel); got != want {
-			t.Errorf("costClass(%s) = %s, want %s", kernel, got, want)
+		if k, ok := kernel.Lookup(name); !ok || k.Class != want {
+			t.Errorf("kernel %s: in table %v, want class %s", name, ok, want)
 		}
 	}
 }

@@ -247,6 +247,7 @@ func TestBadRequests(t *testing.T) {
 		{"/graphs/g/bfs?src=100", http.StatusBadRequest},
 		{"/graphs/g/sssp?src=-1", http.StatusBadRequest},
 		{"/graphs/g/kcores?k=-2", http.StatusBadRequest},
+		{"/graphs/g/kcores?k=4294967298", http.StatusBadRequest}, // truncates to the 2-core as int32
 		{"/graphs/g/components?timeout_ms=zero", http.StatusBadRequest},
 	} {
 		status, _, body := get(t, ts.URL+tc.path)

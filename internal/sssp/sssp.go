@@ -29,6 +29,18 @@ type Result struct {
 // Reached reports whether v was reached.
 func (r *Result) Reached(v int32) bool { return r.Dist[v] != Inf }
 
+// Extent returns how many vertices were reached and the largest distance
+// among them.
+func (r *Result) Extent() (reached int, maxDist int64) {
+	for _, d := range r.Dist {
+		if d != Inf {
+			reached++
+			maxDist = max(maxDist, d)
+		}
+	}
+	return reached, maxDist
+}
+
 // validateWeights returns an error if any arc has a negative weight.
 func validateWeights(g *graph.Graph) error {
 	if !g.Weighted() {
