@@ -421,10 +421,13 @@ func (sd *searchSide) init(v int32) {
 	sd.level = 0
 }
 
+// reset clears dist only. sigma needs no clearing: expandLevel assigns a
+// vertex's sigma when it first labels it, and every sigma read (in
+// expandLevel, the meet scan and backtrack) is guarded by a dist test, so
+// a stale count is never read.
 func (sd *searchSide) reset() {
 	for _, v := range sd.order {
 		sd.dist[v] = -1
-		sd.sigma[v] = 0
 	}
 	sd.order = sd.order[:0]
 	sd.front = 0

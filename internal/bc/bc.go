@@ -18,6 +18,8 @@
 // whatever GOMAXPROCS or Options.Concurrency is. The Brandes forward
 // sweeps are direction-optimized (Beamer top-down/bottom-up, shared with
 // internal/bfs) so hub-dominated levels stop scanning the whole edge list.
+// k-betweenness is parallel over sources only: each source's sweeps run
+// serially on the worker that owns the source.
 package bc
 
 import (

@@ -26,6 +26,10 @@ type workspace struct {
 	levelStart []int     // offsets into order where each BFS level begins
 	nbuf       []int32   // neighbor decode buffer for compact graphs
 	bottomUps  int       // levels discovered pull-style; survives reset (test sentinel)
+
+	// walks is the k-BC sweeps' pair of walk-length-parity gather arrays
+	// (see kbcSource), made on first use and all-zero between sources.
+	walks [2][]float64
 }
 
 func newWorkspace(n, k, nbufCap int) *workspace {

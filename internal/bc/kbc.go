@@ -1,9 +1,6 @@
 package bc
 
-import (
-	"graphct/internal/graph"
-	"graphct/internal/par"
-)
+import "graphct/internal/graph"
 
 // kbcSource accumulates one source's k-betweenness contributions into
 // sink. Following Jiang, Ediger & Bader, it counts walks of length up to
@@ -20,7 +17,8 @@ import (
 //
 // The source never appears as an intermediate or target vertex: walks
 // re-entering s are not counted (sigma[s][j>0] stays 0 and s is skipped in
-// the backward sums).
+// the backward sums). Both sweeps run serially on the calling worker; the
+// driver's parallelism is over sources.
 func kbcSource(g *graph.Graph, s int32, ws *workspace, sink scoreSink) {
 	defer ws.reset()
 	k := ws.k
@@ -52,61 +50,60 @@ func kbcSource(g *graph.Graph, s int32, ws *workspace, sink scoreSink) {
 	maxDist := len(ws.levelStart) - 1
 	maxLen := maxDist + k
 
-	levelSlice := func(d int) []int32 {
-		if d < 0 || d > maxDist {
+	// window returns the vertices a walk of length L can end on with
+	// slack in [0, k]: levels L−k … L, contiguous in BFS order.
+	window := func(L int) []int32 {
+		lo := max(L-k, 0)
+		if lo > maxDist {
 			return nil
 		}
-		lo := ws.levelStart[d]
-		hi := len(ws.order)
-		if d+1 <= maxDist {
-			hi = ws.levelStart[d+1]
+		end := len(ws.order)
+		if L+1 <= maxDist {
+			end = ws.levelStart[L+1]
 		}
-		return ws.order[lo:hi]
+		return ws.order[ws.levelStart[lo]:end]
+	}
+
+	// The sweeps gather from a dense, walk-length-indexed pair of arrays
+	// rather than testing each neighbor's distance and slack: walks[L&1][u]
+	// holds the length-L term of u (sigma[u][L−dist[u]] forward,
+	// dep[u][L−dist[u]] backward) when that slack is in [0, k], and 0
+	// everywhere else, the source included past length 0. A length is
+	// zeroed on its window as soon as the next one is computed, so each
+	// array is all-zero outside one window. Adding +0 leaves a
+	// non-negative sum unchanged, so each sum is the admissible terms
+	// added in adjacency order.
+	if ws.walks[0] == nil {
+		ws.walks = [2][]float64{make([]float64, ws.n), make([]float64, ws.n)}
+	}
+	zero := func(a []float64, vs []int32) {
+		for _, v := range vs {
+			a[v] = 0
+		}
 	}
 
 	// Phase 2: forward sweep in increasing walk length L. A walk of
-	// length L arrives at v with slack j = L − dist[v]; its last step
-	// leaves a neighbor u holding slack L−1−dist[u].
+	// length L arrives at v with slack j = L − dist[v] from a neighbor
+	// that a length-(L−1) walk reached.
 	sigma[int(s)*stride] = 1
+	prev, cur := ws.walks[0], ws.walks[1]
+	prev[s] = 1
 	for L := 1; L <= maxLen; L++ {
-		dLo := L - k
-		if dLo < 0 {
-			dLo = 0
+		for _, v := range window(L) {
+			if v == s {
+				continue
+			}
+			var sv float64
+			for _, u := range g.NeighborsInto(&ws.nbuf, v) {
+				sv += prev[u]
+			}
+			sigma[int(v)*stride+L-int(dist[v])] = sv
+			cur[v] = sv
 		}
-		dHi := L
-		if dHi > maxDist {
-			dHi = maxDist
-		}
-		for d := dLo; d <= dHi; d++ {
-			lvl := levelSlice(d)
-			par.ForGuided(len(lvl), 128, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					v := lvl[i]
-					if v == s {
-						continue
-					}
-					var sv float64
-					// Iterator, not a shared decode buffer: the guided
-					// chunks of one level run concurrently.
-					for it := g.NeighborIter(v); ; {
-						u, ok := it.Next()
-						if !ok {
-							break
-						}
-						du := dist[u]
-						if du == -1 {
-							continue
-						}
-						ju := L - 1 - int(du)
-						if ju >= 0 && ju <= k {
-							sv += sigma[int(u)*stride+ju]
-						}
-					}
-					sigma[int(v)*stride+(L-d)] = sv
-				}
-			})
-		}
+		zero(prev, window(L-1))
+		prev, cur = cur, prev
 	}
+	zero(prev, window(maxLen))
 	for _, v := range ws.order {
 		var tot float64
 		base := int(v) * stride
@@ -119,45 +116,25 @@ func kbcSource(g *graph.Graph, s int32, ws *workspace, sink scoreSink) {
 	// Phase 3: backward sweep in decreasing walk length. dep[v][j] sums,
 	// over targets t, the admissible v→t walk continuations divided by
 	// sigTot[t]; the empty continuation contributes v's own target term.
+	// next holds the length-(L+1) terms, never the source's: walks that
+	// re-enter s are not counted.
+	next := prev
 	for L := maxLen; L >= 0; L-- {
-		dLo := L - k
-		if dLo < 0 {
-			dLo = 0
+		for _, v := range window(L) {
+			var dv float64
+			if v != s {
+				dv = 1 / sigTot[v]
+			}
+			for _, w := range g.NeighborsInto(&ws.nbuf, v) {
+				dv += next[w]
+			}
+			dep[int(v)*stride+L-int(dist[v])] = dv
+			if v != s {
+				cur[v] = dv
+			}
 		}
-		dHi := L
-		if dHi > maxDist {
-			dHi = maxDist
-		}
-		for d := dLo; d <= dHi; d++ {
-			lvl := levelSlice(d)
-			par.ForGuided(len(lvl), 128, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					v := lvl[i]
-					var dv float64
-					if v != s {
-						dv = 1 / sigTot[v]
-					}
-					for it := g.NeighborIter(v); ; {
-						w, ok := it.Next()
-						if !ok {
-							break
-						}
-						if w == s {
-							continue
-						}
-						dw := dist[w]
-						if dw == -1 {
-							continue
-						}
-						jw := L + 1 - int(dw)
-						if jw >= 0 && jw <= k {
-							dv += dep[int(w)*stride+jw]
-						}
-					}
-					dep[int(v)*stride+(L-d)] = dv
-				}
-			})
-		}
+		zero(next, window(L+1))
+		next, cur = cur, next
 	}
 
 	// Credit: Σ_j sigma[v][j]·dep[v][j] overcounts pairs whose target is v

@@ -69,7 +69,22 @@ func routedCluster(t *testing.T, n int) (*Router, *httptest.Server, []*Server, [
 func TestRouterPartitionsByName(t *testing.T) {
 	rt, rts, workers, backends := routedCluster(t, 2)
 
-	names := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
+	// The ring hashes the backends' URLs, whose ports are random, so fixed
+	// names could all land on one shard. Draw names once the ring is
+	// built instead, three per shard.
+	var names []string
+	perShard := make(map[string]int)
+	for i := 0; len(names) < 6; i++ {
+		if i == 1000 {
+			t.Fatalf("1000 candidate names filled only %v", perShard)
+		}
+		name := fmt.Sprintf("g%d", i)
+		if leader := rt.shardFor(name).Leader(); perShard[leader] < 3 {
+			perShard[leader]++
+			names = append(names, name)
+		}
+	}
+	first := names[0]
 	for _, name := range names {
 		status, body := postJSON(t, rts.URL+"/graphs", map[string]any{
 			"name": name, "format": "live", "vertices": 50,
@@ -102,21 +117,21 @@ func TestRouterPartitionsByName(t *testing.T) {
 	}
 
 	// Ingest through the router mutates the owner's copy.
-	if status, body := postJSON(t, rts.URL+"/graphs/alpha/ingest",
+	if status, body := postJSON(t, rts.URL+"/graphs/"+first+"/ingest",
 		[]map[string]any{{"u": 0, "v": 1}, {"u": 1, "v": 2}}); status != http.StatusOK {
 		t.Fatalf("routed ingest: HTTP %d: %s", status, body)
 	}
-	if e, _ := workers[owners["alpha"]].reg.Get("alpha"); e.Live.st.NumEdges() != 2 {
+	if e, _ := workers[owners[first]].reg.Get(first); e.Live.st.NumEdges() != 2 {
 		t.Fatalf("owner edges = %d, want 2", e.Live.st.NumEdges())
 	}
 
 	// Reads carry the worker that served them.
-	status, hdr, _ := get(t, rts.URL+"/graphs/alpha/stats")
+	status, hdr, _ := get(t, rts.URL+"/graphs/"+first+"/stats")
 	if status != http.StatusOK {
 		t.Fatalf("routed read: HTTP %d", status)
 	}
-	if got := hdr.Get(api.HeaderWorker); got != backends[owners["alpha"]].URL {
-		t.Fatalf("%s = %q, want owner %q", api.HeaderWorker, got, backends[owners["alpha"]].URL)
+	if got := hdr.Get(api.HeaderWorker); got != backends[owners[first]].URL {
+		t.Fatalf("%s = %q, want owner %q", api.HeaderWorker, got, backends[owners[first]].URL)
 	}
 
 	// The merged listing sees every shard's graphs exactly once.
@@ -131,7 +146,7 @@ func TestRouterPartitionsByName(t *testing.T) {
 	}
 
 	// Deletes route home too.
-	req, _ := http.NewRequest(http.MethodDelete, rts.URL+"/graphs/alpha", nil)
+	req, _ := http.NewRequest(http.MethodDelete, rts.URL+"/graphs/"+first, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +155,7 @@ func TestRouterPartitionsByName(t *testing.T) {
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("routed delete: HTTP %d", resp.StatusCode)
 	}
-	if _, ok := workers[owners["alpha"]].reg.Get("alpha"); ok {
+	if _, ok := workers[owners[first]].reg.Get(first); ok {
 		t.Fatal("delete did not reach the owning worker")
 	}
 	if rt.Metrics().Writes.Load() == 0 || rt.Metrics().Reads.Load() == 0 {
